@@ -271,7 +271,7 @@ def run(config: CliConfig) -> int:
         expansion = verify.quartic_expansion(config.p, config.prec)
         reports = []
         if config.p == 3:
-            reports.append(verify.quartic_lambda_check(config.prec, config.count))
+            reports.append(verify.quartic_lambda_report(expansion, config.count))
         if config.fmt == "json":
             payload = {
                 "p": config.p,

@@ -193,11 +193,18 @@ def aux_words(n: int) -> AuxWords:
     if not vv.startswith("2" + j):
         raise ValueError(f"residual decomposition failed at n={n}")
     i = vv[1 + len(j) :]
-    assert u == g + f and v == h + f
-    assert g[-1] != h[-1]
-    assert len(g) == (ell[n] + ell[n - 1] + 3) // 2
-    assert len(f) == len(j) == (ell[n] + ell[n - 1] - 1) // 2
-    assert len(up) == 3 * ell[n] + ell[n - 1] + 4
+    # Invariants of the decomposition; checked with exceptions so that
+    # ``python -O`` keeps them.
+    if u != g + f or v != h + f:
+        raise ValueError(f"u = g f, v = h f fails at n={n}")
+    if g[-1:] == h[-1:]:
+        raise ValueError(f"g and h share their last letter at n={n}")
+    if len(g) != (ell[n] + ell[n - 1] + 3) // 2:
+        raise ValueError(f"|g| is off the length law at n={n}")
+    if not len(f) == len(j) == (ell[n] + ell[n - 1] - 1) // 2:
+        raise ValueError(f"|f| or |j| is off the length law at n={n}")
+    if len(up) != 3 * ell[n] + ell[n - 1] + 4:
+        raise ValueError(f"|u(n+1) 2| is off the length law at n={n}")
     return AuxWords(
         n=n,
         u=Word(u),

@@ -1,10 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordcf.fields import QQ
+from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, parse_poly
-from wordcf.series import LaurentSeries, PrecisionError, series_of_fraction
+from wordcf.series import (
+    LaurentSeries,
+    PrecisionError,
+    _mul_trunc,
+    _mul_trunc_schoolbook,
+    series_of_fraction,
+)
 from wordcf.words import prefix
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12)
@@ -53,15 +61,82 @@ def test_add_negate_is_zero(top, cs):
     assert (x + (-x)).is_zero
 
 
+# Kronecker slots from one byte (GF(2)) to wider than a machine word
+# (GF(2^61 - 1)).
+PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(1000003), GF(2**61 - 1)]
+
+
+def _one_to(x):
+    """1 as a series declared down to the precision of x * x.invert()."""
+    return LaurentSeries.from_poly(Polynomial.one(x.field), x.known_down - x.top)
+
+
 @given(top=tops, cs=coeffs)
 def test_mul_by_inverse_is_one(top, cs):
     x = series(top, cs)
     if x.is_zero:
         return
-    prod = x * x.invert()
-    assert prod.top == 0
-    assert prod.coeffs[0] == 1
-    assert all(c == 0 for c in prod.coeffs[1:])
+    assert x * x.invert() == _one_to(x)
+
+
+def _digits(rng, p, length, zero_share=0.3):
+    """Residues in [0, p) with runs of zeros and the extreme digit p - 1."""
+    return [
+        0 if rng.random() < zero_share else rng.choice((p - 1, rng.randrange(p)))
+        for _ in range(length)
+    ]
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+@pytest.mark.parametrize(
+    "la, lb, n",
+    [
+        (1, 1, 1),  # single digits
+        (1, 1, 4),  # n beyond la + lb - 1: zero tail
+        (1, 9, 9),
+        (9, 7, 3),  # n below min(la, lb)
+        (9, 7, 40),
+        (64, 64, 64),
+        (300, 41, 500),
+        (257, 700, 256),
+    ],
+)
+def test_mul_trunc_matches_schoolbook(field, la, lb, n):
+    rng = random.Random(f"{field.p}:{la}:{lb}:{n}")
+    for zero_share in (0.0, 0.3, 0.9):
+        a = _digits(rng, field.p, la, zero_share)
+        b = _digits(rng, field.p, lb, zero_share)
+        got = _mul_trunc(a, b, n, field)
+        assert got == _mul_trunc_schoolbook(a, b, n, field)
+        assert all(c == 0 for c in got[la + lb - 1 :])
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+def test_mul_trunc_zero_leading_and_interior_digits(field):
+    top = field.p - 1
+    a = [0, 0, top, 0, 0, 0, 1, 0]
+    b = [0, top, 0, 0, top]
+    for n in range(0, 16):
+        assert _mul_trunc(a, b, n, field) == _mul_trunc_schoolbook(a, b, n, field)
+    assert _mul_trunc([0] * 30, b, 40, field) == [0] * 40
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7), GF(2**61 - 1)], ids=repr)
+def test_mul_trunc_long_operands(field):
+    # Slot widths 2, 3 and 17 bytes at length 4000.
+    rng = random.Random(field.p)
+    a = _digits(rng, field.p, 4000)
+    b = _digits(rng, field.p, 4000)
+    assert _mul_trunc(a, b, 4000, field) == _mul_trunc_schoolbook(a, b, 4000, field)
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=repr)
+@pytest.mark.parametrize("length", [1, 2, 5, 65, 1000])
+def test_gfp_mul_by_inverse_is_one_to_declared_precision(field, length):
+    rng = random.Random(length)
+    lead = 1 + rng.randrange(field.p - 1)
+    x = LaurentSeries(field, 3, [lead] + _digits(rng, field.p, length - 1))
+    assert x * x.invert() == _one_to(x)
 
 
 def test_invert_zero_raises():

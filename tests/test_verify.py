@@ -7,7 +7,7 @@ from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, parse_poly, poly_gcd
 from wordcf.series import PrecisionError
 from wordcf.cf import cf_of_series
-from wordcf.words import first_difference_rank, lengths
+from wordcf.words import first_difference_rank, lengths, prefix
 from wordcf import verify
 
 
@@ -228,6 +228,14 @@ class TestQuartic:
         expansion = verify.quartic_expansion(3, 500)
         assert expansion.monomial
         assert set(expansion.lambdas) <= {1, 2}
+
+    def test_deep_root_spells_the_word(self):
+        expansion = verify.quartic_expansion(3, 10_000)
+        residual = verify.quartic_residual(expansion.root)
+        assert residual.is_zero and residual.known_down <= -9_999
+        assert expansion.monomial
+        assert set(expansion.lambdas) <= {1, 2}
+        assert expansion.lambdas[:1000] == prefix(1000).values()
 
     def test_insufficient_precision_hint(self):
         with pytest.raises(PrecisionError, match="raise prec"):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordcf import words
 from wordcf.fields import GF
 from wordcf.poly import parse_poly
 from wordcf.words import (
@@ -87,6 +88,14 @@ class TestAuxWords:
             assert last_letters_differ(aux.g, aux.h)
             assert len(aux.g) == (table[n] + table[n - 1] + 3) // 2
             assert len(aux.f) == len(aux.j) == (table[n] + table[n - 1] - 1) // 2
+
+    def test_broken_invariant_raises(self, monkeypatch):
+        # aux_words(1) reads u(1) = "12" from _u_symbols; a wrong u breaks
+        # u = g f, which must raise even under python -O.
+        real = words._u_symbols
+        monkeypatch.setattr(words, "_u_symbols", lambda n: "21" if n == 1 else real(n))
+        with pytest.raises(ValueError, match="u = g f"):
+            aux_words(1)
 
 
 def test_letter_relations():
