@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument(
         "selection",
-        choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
+        choices=(*verify.SUITE_ORDER, "all"),
     )
     p_verify.add_argument("--max-n", type=int, default=None)
     common(p_verify)
@@ -237,7 +237,7 @@ def run(config: CliConfig) -> int:
     if config.command == "measure":
         if config.max_n is None or config.max_n < 1:
             raise UsageError("--max-n must be at least 1")
-        cf, _ = verify.theta_expansion(config.max_n + 1)
+        cf = verify.theta_expansion(config.max_n + 1)
         degrees = cf.degrees()
         terms = measure_terms(degrees)
         if config.csv:
@@ -291,11 +291,7 @@ def run(config: CliConfig) -> int:
                 "lambda: " + "".join(str(c) for c in expansion.lambdas),
                 "u: " + ",".join(str(u) for u in expansion.exponents),
             ]
-            lines += [
-                f"{r.check} n={r.n}: {'PASS' if r.passed else 'FAIL'} "
-                f"expected={r.expected} actual={r.actual}"
-                for r in reports
-            ]
+            lines += _report_lines(reports)
             k = sum(r.passed for r in reports)
             lines.append(f"PASS {k}/{len(reports)}")
             _emit(config, "\n".join(lines))
@@ -332,6 +328,14 @@ def run(config: CliConfig) -> int:
     raise UsageError(f"unknown command {config.command!r}")
 
 
+def _report_lines(reports) -> list[str]:
+    return [
+        f"{r.check} n={r.n}: {'PASS' if r.passed else 'FAIL'} "
+        f"expected={r.expected} actual={r.actual}"
+        for r in reports
+    ]
+
+
 def _emit_reports(config: CliConfig, reports, findings) -> int:
     passed = sum(r.passed for r in reports)
     summary = f"PASS {passed}/{len(reports)}"
@@ -341,11 +345,7 @@ def _emit_reports(config: CliConfig, reports, findings) -> int:
         for finding in findings:
             print(f"FINDING: {finding}", file=sys.stderr)
     else:
-        lines = [
-            f"{r.check} n={r.n}: {'PASS' if r.passed else 'FAIL'} "
-            f"expected={r.expected} actual={r.actual}"
-            for r in reports
-        ]
+        lines = _report_lines(reports)
         lines += [f"FINDING: {finding}" for finding in findings]
         lines.append(summary)
         _emit(config, "\n".join(lines))

@@ -18,10 +18,8 @@ from .poly import Polynomial, format_poly, poly_gcd
 from .series import LaurentSeries, PrecisionError
 from .cf import (
     ContinuedFraction,
-    ConvergentTable,
     cf_of_fraction,
     cf_of_series,
-    convergents,
     approx_order,
     measure_terms,
 )
@@ -155,7 +153,7 @@ def check_lemma3(n: int) -> CheckReport:
     pair2, pair2p = tail_periodic_pair(n + 1), pure_periodic_pair(n + 1)
     t_minus_1 = Polynomial(field, [-1, 1])
     delta_expected = t_minus_1 if n % 2 == 0 else -t_minus_1
-    delta = pair1.r * pair1p.s - pair1p.r * pair1.s
+    delta = cross_product_delta(n)
     len_f_next = (ell[n + 1] + ell[n] - 1) // 2
     len_v_next = ell[n + 1] + 1
     len_g = (ell[n] + ell[n - 1] + 3) // 2
@@ -184,33 +182,37 @@ def check_lemma3(n: int) -> CheckReport:
 
 
 @functools.lru_cache(maxsize=None)
-def theta_expansion(block_count: int) -> tuple[ContinuedFraction, ConvergentTable]:
-    """Continued fraction of the block_count-th tail-periodic approximant,
-    with its convergent table; its quotients are an exact prefix of the
-    expansion of the generating series."""
+def theta_expansion(block_count: int) -> ContinuedFraction:
+    """Continued fraction of the block_count-th tail-periodic approximant;
+    its quotients are an exact prefix of the expansion of the generating
+    series."""
     pair = tail_periodic_pair(block_count)
-    cf = cf_of_fraction(pair.r, pair.s)
-    return cf, convergents(cf)
+    return cf_of_fraction(pair.r, pair.s)
 
 
-def _same_fraction(x: Polynomial, y: Polynomial, r: Polynomial, s: Polynomial) -> bool:
-    # Both pairs are coprime, so x/y == r/s iff (x, y) == c (r, s); the
-    # denominators fix c without any gcd computation.
-    if y.degree != s.degree or x.degree != r.degree:
-        return False
-    c = y.field.div(y.lead, s.lead)
-    return y == s.scale(c) and x == r.scale(c)
+def is_convergent(cf: ContinuedFraction, k: int, r: Polynomial, s: Polynomial) -> bool:
+    """Whether (r, s) is a scalar multiple of the k-th convergent pair
+    (x_k, y_k) of cf, found by one Euclid run instead of the table.
+
+    A finite expansion whose later quotients have degree >= 1 is unique, so
+    equal quotients give r/s = x_k/y_k; since x_k, y_k are coprime and
+    deg y_k = d_1 + ... + d_k, the degree test rules out a common factor.
+    """
+    return (
+        cf_of_fraction(r, s).quotients == cf.quotients[: k + 1]
+        and s.degree == sum(cf.degrees()[:k])
+    )
 
 
 def check_theorem3(max_n: int, series_prec: int | None = None) -> list[CheckReport]:
     """Degree law of the expansion: the first four degrees are 1; block n
     contributes degrees ((3 len_n + len_{n-1} + 1)/2, 1, (len_n + len_{n-1} + 1)/2, 1);
-    and the approximant pairs appear verbatim in the convergent table at
+    and the approximant pairs are, up to a scalar, the convergents at
     indices 4n and 4n+2.  A certified series expansion cross-checks the
     Euclidean prefix."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cf, table = theta_expansion(max_n + 1)
+    cf = theta_expansion(max_n + 1)
     d = cf.degrees()
     ell = lengths(max_n + 1)
     reports: list[CheckReport] = []
@@ -238,8 +240,8 @@ def check_theorem3(max_n: int, series_prec: int | None = None) -> list[CheckRepo
         d_actual = tuple(d[4 * n : 4 * n + 4])
         pair = tail_periodic_pair(n)
         pairp = pure_periodic_pair(n)
-        conv_ok = _same_fraction(*table.pair(4 * n), pair.r, pair.s)
-        convp_ok = _same_fraction(*table.pair(4 * n + 2), pairp.r, pairp.s)
+        conv_ok = is_convergent(cf, 4 * n, pair.r, pair.s)
+        convp_ok = is_convergent(cf, 4 * n + 2, pairp.r, pairp.s)
         expected = f"d={d_expected};conv4n=match;conv4n+2=match"
         actual = (
             f"d={d_actual};"
@@ -255,7 +257,7 @@ def check_corollary(max_n: int) -> list[CheckReport]:
     term at index 4n equals 2 + d_{4n+1}/(2 + d_{4n+1}), strictly increasing."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cf, _ = theta_expansion(max_n + 1)
+    cf = theta_expansion(max_n + 1)
     d = cf.degrees()
     terms = measure_terms(d)
     reports: list[CheckReport] = []
@@ -345,7 +347,7 @@ def check_conjecture(max_n: int) -> ConjectureOutcome:
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cf, _ = theta_expansion(max_n + 1)
+    cf = theta_expansion(max_n + 1)
     reports: list[CheckReport] = []
     rows: list[ConjectureRow] = []
     findings: list[str] = []
@@ -536,7 +538,7 @@ SUITE_DEFAULT_MAX_N = {
     "conjecture": 5,
 }
 
-SUITE_ORDER = ("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture")
+SUITE_ORDER = tuple(SUITE_DEFAULT_MAX_N)
 
 
 def run_suite(selection: str, max_n: int | None = None):

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, parse_poly, poly_gcd
 from wordcf.series import PrecisionError
-from wordcf.cf import cf_of_series
+from wordcf.cf import cf_of_series, convergents
 from wordcf.words import first_difference_rank, lengths, prefix
 from wordcf import verify
 
@@ -97,7 +98,7 @@ class TestLemma3:
 
 class TestTheorem3:
     def test_degree_values(self):
-        cf, _ = verify.theta_expansion(3)
+        cf = verify.theta_expansion(3)
         d = cf.degrees()
         assert d[:4] == [1, 1, 1, 1]
         assert d[4] == 2  # first block jump
@@ -118,15 +119,78 @@ class TestTheorem3:
             assert d_n < dp_n < d_next
 
     def test_block_jump_dominates_previous_degrees(self):
-        cf, _ = verify.theta_expansion(7)
+        cf = verify.theta_expansion(7)
         d = cf.degrees()
         for n in range(1, 7):
             assert d[4 * n] > max(d[4 * n - 4 : 4 * n])
 
+    def test_reports_pass_at_depth_8(self):
+        reports = verify.check_theorem3(8)
+        assert [r.n for r in reports] == list(range(9))
+        assert all(r.passed for r in reports)
+
+    def test_identification_accepts_only_scalar_multiples_of_the_pair(self):
+        cf = verify.theta_expansion(5)
+        t_plus_1 = Polynomial(QQ, [1, 1])
+        c = Fraction(-3, 7)
+        for n in range(1, 5):
+            pair, pairp = verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)
+            for k, right, wrong in ((4 * n, pair, pairp), (4 * n + 2, pairp, pair)):
+                assert verify.is_convergent(cf, k, right.r.scale(c), right.s.scale(c))
+                assert not verify.is_convergent(cf, k, wrong.r, wrong.s)
+                assert not verify.is_convergent(cf, k, right.r * t_plus_1, right.s * t_plus_1)
+                # Right degrees, wrong fraction.
+                assert not verify.is_convergent(cf, k, right.r + right.s, right.s.scale(2))
+
+    def test_non_reduced_pair_reports_mismatch(self, monkeypatch):
+        real = verify.tail_periodic_pair
+        t_plus_1 = Polynomial(QQ, [1, 1])
+
+        def non_reduced_at_one(n, *args, **kwargs):
+            pair = real(n, *args, **kwargs)
+            if n != 1:
+                return pair
+            return dataclasses.replace(pair, r=pair.r * t_plus_1, s=pair.s * t_plus_1)
+
+        monkeypatch.setattr(verify, "tail_periodic_pair", non_reduced_at_one)
+        reports = verify.check_theorem3(2)
+        assert reports[1].actual.endswith(";conv4n=MISMATCH;conv4n+2=match")
+        assert not reports[1].passed
+        assert reports[0].passed and reports[2].passed
+
+    def test_identification_agrees_with_convergent_table(self):
+        # Reference: the table check the identification replaced.  Both pairs
+        # are coprime, so x/y == r/s iff (x, y) == c (r, s).
+        def same_fraction(x, y, r, s):
+            if y.degree != s.degree or x.degree != r.degree:
+                return False
+            c = y.field.div(y.lead, s.lead)
+            return y == s.scale(c) and x == r.scale(c)
+
+        cf = verify.theta_expansion(6)
+        table = convergents(cf)
+        t_plus_1 = Polynomial(QQ, [1, 1])
+        for n in range(1, 6):
+            pair, pairp = verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)
+            candidates = [
+                (pair.r, pair.s),
+                (pairp.r, pairp.s),
+                (pair.r.scale(Fraction(5, 2)), pair.s.scale(Fraction(5, 2))),
+                (pair.r + pair.s, pair.s.scale(2)),
+                (pairp.r * t_plus_1, pairp.s * t_plus_1),
+                (pair.r * t_plus_1, pair.s * t_plus_1),
+                table.pair(4 * n - 1),
+                table.pair(4 * n + 1),
+            ]
+            for k in (4 * n, 4 * n + 2):
+                verdicts = [verify.is_convergent(cf, k, r, s) for r, s in candidates]
+                assert verdicts == [same_fraction(*table.pair(k), r, s) for r, s in candidates]
+                assert any(verdicts) and not all(verdicts)
+
 
 class TestCorollary:
     def test_degree_sum_identity_at_one(self):
-        cf, _ = verify.theta_expansion(2)
+        cf = verify.theta_expansion(2)
         d = cf.degrees()
         assert sum(d[:4]) == 4 == 2 + d[4]
 
@@ -164,7 +228,7 @@ class TestConjecture:
         assert outcome.findings == []
 
     def test_exact_equality_of_quotients(self):
-        cf, _ = verify.theta_expansion(2)
+        cf = verify.theta_expansion(2)
         row = verify.conjecture_row(1)
         assert tuple(cf.quotients[5:9]) == row.predicted
 
