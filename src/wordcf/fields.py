@@ -51,6 +51,10 @@ class RationalField:
     one = 1
 
     def coerce(self, value):
+        # Exact ints are the common case; the isinstance test against the
+        # Fraction ABC costs more than the rest of a polynomial build.
+        if type(value) is int:
+            return value
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact rational: {value!r}")
         return _as_int(value) if isinstance(value, Fraction) else value
@@ -103,6 +107,8 @@ class PrimeField:
         self.one = 1 % p
 
     def coerce(self, value):
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"GF({self.p}) element must be an int: {value!r}")
         return value % self.p

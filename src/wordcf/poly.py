@@ -10,6 +10,7 @@ bit-exactly (plus ordinary expressions like ``(T^3+2*T^2+T-1)/(T^4-T^2)``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
 
 from .fields import QQ, check_same_field
 
@@ -34,7 +35,7 @@ class Polynomial:
             n -= 1
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
+        object.__setattr__(self, "coeffs", tuple(coeffs[:n] if n < len(coeffs) else coeffs))
         return self
 
     @classmethod
@@ -97,13 +98,19 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(islice(a, len(b), None))
         return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
 
     def __sub__(self, other):
-        return self + (-other)
+        check_same_field(self.field, other.field)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out.extend(islice(a, len(b), None))
+        else:
+            out.extend(-c for c in islice(b, len(a), None))
+        return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
 
     def __neg__(self):
         return Polynomial._raw(
@@ -117,15 +124,24 @@ class Polynomial:
             return Polynomial.zero(self.field)
         # Run the outer loop over the operand with fewer nonzero terms, so
         # sparse-by-dense products (the common large case here) cost
-        # O(nnz * deg) instead of O(deg^2).
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
-            a, b = b, a
+        # O(nnz * deg) instead of O(deg^2), and sparse-by-sparse ones (the
+        # binomial denominators) O(nnz * nnz).
+        nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+        if nnz_a > nnz_b:
+            a, b, nnz_b = b, a, nnz_a
         out = [self.field.zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
+        terms = [(i, a[i]) for i in compress(range(len(a)), a)]
+        nb = len(b)
+        if 2 * nnz_b < nb:
+            for j in compress(range(nb), b):
+                cb = b[j]
+                for i, ca in terms:
+                    out[i + j] += ca * cb
+        else:
+            for i, ca in terms:
+                out[i : i + nb] = [
+                    o + ca * cb if cb else o for o, cb in zip(islice(out, i, i + nb), b)
+                ]
         return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
 
     def scale(self, scalar):
@@ -174,6 +190,8 @@ class Polynomial:
 
     def evaluate(self, x):
         x = self.field.coerce(x)
+        if x == self.field.one:
+            return self.field.reduce(sum(self.coeffs))
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = self.field.reduce(acc * x + c)

@@ -303,12 +303,15 @@ def series_of_fraction(num: Polynomial, den: Polynomial, prec: int) -> LaurentSe
     # rem maps exponent offsets: rem[j] is the coefficient of T^(num.degree - j)
     # of the running remainder; entries below the output window are dropped.
     rem = {j: c for j, c in enumerate(reversed(num.coeffs)) if c}
+    # Over a monic denominator an int digit is its own quotient (the
+    # approximant denominators T^a - T^b all are): skip the Fraction division.
+    monic = dlead == field.one
     out = []
     for k in range(top, kd - 1, -1):
         j = top - k
         c = rem.pop(j, field.zero)
         if c:
-            q = field.div(c, dlead)
+            q = c if monic and type(c) is int else field.div(c, dlead)
             out.append(q)
             for off, dc in support:
                 jj = j + off

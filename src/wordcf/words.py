@@ -233,7 +233,8 @@ def first_letters_differ(a: Word, b: Word) -> bool:
 def word_poly(w: Word, field=QQ) -> Polynomial:
     """Encode a word as the polynomial with its letters as coefficients,
     first letter carrying the highest power of T."""
-    return Polynomial(field, list(reversed(w.values())))
+    letter = {"1": field.coerce(w.alphabet[0]), "2": field.coerce(w.alphabet[1])}
+    return Polynomial._raw(field, list(map(letter.__getitem__, reversed(w.symbols))))
 
 
 def word_fraction(w: Word, field=QQ) -> RationalFunction:
@@ -280,7 +281,7 @@ def theta_series(prec: int, field=QQ) -> LaurentSeries:
     if prec < 1:
         raise ValueError("prec must be at least 1")
     letters = prefix(prec).values()
-    return LaurentSeries(field, -1, [field.coerce(v) for v in letters], -prec)
+    return LaurentSeries(field, -1, letters, -prec)
 
 
 @dataclass(frozen=True)

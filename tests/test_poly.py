@@ -159,3 +159,70 @@ def test_evaluate_is_exact():
     p = P("T^3+2*T^2+T-1")
     assert p.evaluate(1) == 3
     assert p.evaluate(Fraction(1, 2)) == Fraction(1, 8) + Fraction(1, 2) + Fraction(1, 2) - 1
+
+
+# Reference oracles for the fast paths of Polynomial: the plain loops.
+def _schoolbook_mul(a, b):
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a.coeffs and b.coeffs else []
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return Polynomial(a.field, out)
+
+
+def _horner(p, x):
+    acc = p.field.zero
+    for c in reversed(p.coeffs):
+        acc = p.field.reduce(acc * x + c)
+    return acc
+
+
+# Mostly-zero coefficient lists, long enough for both product paths.
+sparse_coeffs = st.lists(
+    st.one_of(st.just(0), st.just(0), st.just(0), small_coeff), min_size=0, max_size=40
+)
+int_coeffs = st.lists(st.integers(min_value=-30, max_value=30), min_size=0, max_size=40)
+
+
+@given(cs=sparse_coeffs, cs2=st.one_of(sparse_coeffs, int_coeffs))
+def test_mul_matches_schoolbook_over_q(cs, cs2):
+    a, b = Polynomial(QQ, cs), Polynomial(QQ, cs2)
+    assert a * b == b * a == _schoolbook_mul(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@given(cs=int_coeffs, cs2=int_coeffs)
+def test_mul_matches_schoolbook_over_gfp(p, cs, cs2):
+    a, b = Polynomial(GF(p), cs), Polynomial(GF(p), cs2)
+    assert a * b == _schoolbook_mul(a, b)
+
+
+def test_sparse_by_sparse_product_of_long_binomials():
+    a, b = P("T^5000 - T^17"), P("3*T^4000 + 1/2*T^3")
+    assert a * b == P("3*T^9000 + 1/2*T^5003 - 3*T^4017 - 1/2*T^20")
+    assert a * b == _schoolbook_mul(a, b)
+
+
+@given(a=poly_q, b=poly_q)
+def test_sub_is_add_of_negation(a, b):
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+
+
+@given(cs=int_coeffs, cs2=int_coeffs)
+def test_sub_is_add_of_negation_over_gfp(cs, cs2):
+    a, b = Polynomial(GF(5), cs), Polynomial(GF(5), cs2)
+    assert a - b == a + (-b)
+    assert all(0 <= c < 5 for c in (a - b).coeffs)
+
+
+@given(p=poly_q)
+def test_evaluate_at_one_matches_horner(p):
+    assert p.evaluate(1) == _horner(p, 1)
+    assert p.evaluate(Fraction(-1, 3)) == _horner(p, Fraction(-1, 3))
+
+
+@given(cs=int_coeffs)
+def test_evaluate_at_one_matches_horner_over_gfp(cs):
+    p = Polynomial(GF(7), cs)
+    assert p.evaluate(1) == p.evaluate(8) == _horner(p, 1)

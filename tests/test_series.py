@@ -212,3 +212,27 @@ def test_zero_series_representation():
     assert z.is_zero
     assert z.known_down == -2
     assert str(z) == "0 + O(T^-3)"
+
+
+fraction_coeffs = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=10
+)
+
+
+@given(cs=st.one_of(coeffs, fraction_coeffs), cs2=coeffs)
+def test_monic_denominator_expansion_matches_scaled_denominator(cs, cs2):
+    # A monic denominator skips the division of each digit by the leading
+    # coefficient; scaling num and den by 2 forces that division back in.
+    num = Polynomial(QQ, cs)
+    den = Polynomial(QQ, cs2 + [1])
+    got = series_of_fraction(num, den, 15)
+    assert got == series_of_fraction(num.scale(2), den.scale(2), 15)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7)])
+def test_monic_denominator_expansion_over_gfp(field):
+    num = Polynomial(field, [2, 0, 1, 1])
+    den = Polynomial(field, [1, 0, 0, 0, 0, 1])
+    got = series_of_fraction(num, den, 30)
+    assert got == series_of_fraction(num.scale(2), den.scale(2), 30)
+    assert all(0 <= c < field.p for c in got.coeffs)

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordcf import words
-from wordcf.fields import GF
-from wordcf.poly import parse_poly
+from wordcf.fields import GF, QQ
+from wordcf.poly import Polynomial, parse_poly
 from wordcf.words import (
     Word,
     aux_words,
@@ -206,3 +206,15 @@ def test_theta_series_letters():
 def test_word_concat_requires_same_alphabet():
     with pytest.raises(ValueError):
         Word("1") + Word("1", alphabet=(1, 3))
+
+
+@pytest.mark.parametrize(
+    "alphabet, field",
+    [((1, 2), None), ((1, -1), None), ((3, 1), GF(3)), ((2, 5), GF(5)), ((4, 6), GF(7))],
+)
+def test_word_poly_matches_coerced_letters(alphabet, field):
+    # Reference: the constructor path, which coerces every letter.
+    field = field or QQ
+    for symbols in ("", "1", "2", "1221", "2112", "122122112", "2" * 9):
+        w = Word(symbols, alphabet=alphabet)
+        assert word_poly(w, field) == Polynomial(field, list(reversed(w.values())))
