@@ -44,7 +44,6 @@ from .cf import (
     SeriesExpansion,
     approx_order,
     cf_of_fraction,
-    cf_of_ratfunc,
     cf_of_series,
     convergents,
     eval_cf,

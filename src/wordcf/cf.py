@@ -99,10 +99,6 @@ def cf_of_fraction(num: Polynomial, den: Polynomial) -> ContinuedFraction:
     return ContinuedFraction(tuple(quotients))
 
 
-def cf_of_ratfunc(f: RationalFunction) -> ContinuedFraction:
-    return cf_of_fraction(f.num, f.den)
-
-
 def eval_cf(cf: ContinuedFraction) -> RationalFunction:
     """Collapse a finite continued fraction back to a reduced fraction."""
     x, y = convergents(cf).rows[-1]

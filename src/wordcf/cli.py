@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import GF, QQ
@@ -32,26 +31,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation; one instance per run."""
-
-    command: str
-    field: object = QQ
-    n: int | None = None
-    prefix_len: int | None = None
-    max_n: int | None = None
-    prec: int | None = None
-    count: int | None = None
-    p: int | None = None
-    alphabet: tuple | None = None
-    ratfunc: str | None = None
-    selection: str | None = None
-    fmt: str = "text"
-    output: str | None = None
-    csv: str | None = None
-
-
+# The ``type=`` callables raise UsageError, which argparse lets through
+# unchanged (it rewrites only ValueError, TypeError and ArgumentTypeError).
 def _parse_field(text: str):
     if text in ("Q", "q"):
         return QQ
@@ -83,36 +64,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wordcf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", default=None, help="write output to this path")
+        p.set_defaults(run=run)
 
     p_word = sub.add_parser("word", help="emit a block or a prefix of the word")
     p_word.add_argument("--n", type=int, default=None, help="block index")
     p_word.add_argument("--prefix", type=int, default=None, help="prefix length")
-    common(p_word)
+    common(p_word, _word)
 
     p_theta = sub.add_parser("theta", help="emit the generating series")
     p_theta.add_argument("--prec", type=int, default=32)
-    p_theta.add_argument("--field", default="Q")
-    common(p_theta)
+    p_theta.add_argument("--field", type=_parse_field, default="Q")
+    common(p_theta, _theta)
 
     p_cf = sub.add_parser("cf", help="expand the series or a rational function")
     p_cf.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
     p_cf.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
-    p_cf.add_argument("--field", default="Q")
-    common(p_cf)
+    p_cf.add_argument("--field", type=_parse_field, default="Q")
+    common(p_cf, _cf)
 
     p_conv = sub.add_parser("convergents", help="convergent table of an expansion")
     p_conv.add_argument("--ratfunc", default=None)
     p_conv.add_argument("--prec", type=int, default=200)
-    p_conv.add_argument("--field", default="Q")
-    common(p_conv)
+    p_conv.add_argument("--field", type=_parse_field, default="Q")
+    common(p_conv, _convergents)
 
     p_measure = sub.add_parser("measure", help="irrationality-measure estimates")
     p_measure.add_argument("--max-n", type=int, default=6)
     p_measure.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
-    common(p_measure)
+    common(p_measure, _measure)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument(
@@ -120,45 +102,24 @@ def build_parser() -> _Parser:
         choices=(*verify.SUITE_ORDER, "all"),
     )
     p_verify.add_argument("--max-n", type=int, default=None)
-    common(p_verify)
+    common(p_verify, _verify)
 
     p_quartic = sub.add_parser("quartic", help="root and expansion of x^4+x^2-Tx+1")
     p_quartic.add_argument("--p", type=int, default=3)
     p_quartic.add_argument("--prec", type=int, default=1000)
     p_quartic.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
-    common(p_quartic)
+    common(p_quartic, _quartic)
 
     p_alpha = sub.add_parser("alphabet", help="rebuild the first approximant over (a, b)")
-    p_alpha.add_argument("--pair", default="1,-1")
-    common(p_alpha)
+    p_alpha.add_argument("--pair", type=_parse_pair, default="1,-1")
+    common(p_alpha, _alphabet)
 
     return parser
 
 
-def build_config(argv) -> CliConfig:
-    args = build_parser().parse_args(argv)
-    field = _parse_field(args.field) if hasattr(args, "field") else QQ
-    return CliConfig(
-        command=args.command,
-        field=field,
-        n=getattr(args, "n", None),
-        prefix_len=getattr(args, "prefix", None),
-        max_n=getattr(args, "max_n", None),
-        prec=getattr(args, "prec", None),
-        count=getattr(args, "k", None),
-        p=getattr(args, "p", None),
-        alphabet=_parse_pair(args.pair) if hasattr(args, "pair") else None,
-        ratfunc=getattr(args, "ratfunc", None),
-        selection=getattr(args, "selection", None),
-        fmt=args.format,
-        output=args.output,
-        csv=getattr(args, "csv", None),
-    )
-
-
-def _emit(config: CliConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+def _emit(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -177,155 +138,149 @@ def _series_payload(series) -> dict:
     }
 
 
-def _expansion_for(config: CliConfig):
+def _expansion_for(args):
     """The requested expansion plus metadata (shared by cf/convergents)."""
-    if config.ratfunc is not None:
-        f = parse_ratfunc(config.ratfunc, config.field)
+    if args.ratfunc is not None:
+        f = parse_ratfunc(args.ratfunc, args.field)
         return cf_of_fraction(f.num, f.den), None
-    if config.prec is None or config.prec < 1:
+    if args.prec < 1:
         raise UsageError("--prec must be at least 1")
-    expansion = cf_of_series(theta_series(config.prec, config.field))
+    expansion = cf_of_series(theta_series(args.prec, args.field))
     return expansion.cf, expansion
 
 
-def run(config: CliConfig) -> int:
-    if config.command == "word":
-        if (config.n is None) == (config.prefix_len is None):
-            raise UsageError("word needs exactly one of --n or --prefix")
-        w = block(config.n) if config.n is not None else prefix(config.prefix_len)
-        _emit(config, _json({"word": str(w)}) if config.fmt == "json" else str(w))
-        return 0
+def _word(args) -> int:
+    if (args.n is None) == (args.prefix is None):
+        raise UsageError("word needs exactly one of --n or --prefix")
+    w = block(args.n) if args.n is not None else prefix(args.prefix)
+    _emit(args, _json({"word": str(w)}) if args.format == "json" else str(w))
+    return 0
 
-    if config.command == "theta":
-        series = theta_series(config.prec, config.field)
-        text = _json(_series_payload(series)) if config.fmt == "json" else str(series)
-        _emit(config, text)
-        return 0
 
-    if config.command == "cf":
-        cf, expansion = _expansion_for(config)
-        quotients = [format_poly(q) for q in cf.quotients]
-        if config.fmt == "json":
-            payload: dict = {"partial_quotients": quotients}
-            if expansion is not None:
-                payload.update(
-                    emitted=expansion.emitted,
-                    precision_consumed=expansion.precision_consumed,
-                    terminated=expansion.terminated,
-                )
-            _emit(config, _json(payload))
-        else:
-            _emit(config, "\n".join(quotients))
-        return 0
+def _theta(args) -> int:
+    series = theta_series(args.prec, args.field)
+    _emit(args, _json(_series_payload(series)) if args.format == "json" else str(series))
+    return 0
 
-    if config.command == "convergents":
-        cf, _ = _expansion_for(config)
-        table = convergents(cf)
-        rows = [
-            {"n": i, "x": format_poly(x), "y": format_poly(y), "degY": y.degree}
-            for i, (x, y) in enumerate(table.rows)
-        ]
-        if config.fmt == "json":
-            _emit(config, _json(rows))
-        else:
-            _emit(
-                config,
-                "\n".join(f"n={r['n']} degY={r['degY']} x={r['x']} y={r['y']}" for r in rows),
+
+def _cf(args) -> int:
+    cf, expansion = _expansion_for(args)
+    quotients = [format_poly(q) for q in cf.quotients]
+    if args.format == "json":
+        payload: dict = {"partial_quotients": quotients}
+        if expansion is not None:
+            payload.update(
+                emitted=expansion.emitted,
+                precision_consumed=expansion.precision_consumed,
+                terminated=expansion.terminated,
             )
-        return 0
+        _emit(args, _json(payload))
+    else:
+        _emit(args, "\n".join(quotients))
+    return 0
 
-    if config.command == "measure":
-        if config.max_n is None or config.max_n < 1:
-            raise UsageError("--max-n must be at least 1")
-        cf = verify.theta_expansion(config.max_n + 1)
-        degrees = cf.degrees()
-        terms = measure_terms(degrees)
-        if config.csv:
-            with open(config.csv, "w", encoding="utf-8") as fh:
-                fh.write("n,d,nu,running_max\n")
-                for i, d in enumerate(degrees, start=1):
-                    if i <= len(terms):
-                        term = terms[i - 1]
-                        fh.write(f"{i},{d},{term.estimate},{term.running_max}\n")
-                    else:
-                        fh.write(f"{i},{d},,\n")
-        rows = [
-            {"n": t.n, "nu": str(t.estimate), "running_max": str(t.running_max)}
-            for t in terms
+
+def _convergents(args) -> int:
+    cf, _ = _expansion_for(args)
+    rows = [
+        {"n": i, "x": format_poly(x), "y": format_poly(y), "degY": y.degree}
+        for i, (x, y) in enumerate(convergents(cf).rows)
+    ]
+    if args.format == "json":
+        _emit(args, _json(rows))
+    else:
+        _emit(args, "\n".join(f"n={r['n']} degY={r['degY']} x={r['x']} y={r['y']}" for r in rows))
+    return 0
+
+
+def _measure(args) -> int:
+    if args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
+    degrees = verify.theta_expansion(args.max_n + 1).degrees()
+    terms = measure_terms(degrees)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write("n,d,nu,running_max\n")
+            for i, d in enumerate(degrees, start=1):
+                if i <= len(terms):
+                    term = terms[i - 1]
+                    fh.write(f"{i},{d},{term.estimate},{term.running_max}\n")
+                else:
+                    fh.write(f"{i},{d},,\n")
+    rows = [
+        {"n": t.n, "nu": str(t.estimate), "running_max": str(t.running_max)}
+        for t in terms
+    ]
+    if args.format == "json":
+        _emit(args, _json(rows))
+    else:
+        _emit(args, "\n".join(f"n={r['n']} nu={r['nu']} max={r['running_max']}" for r in rows))
+    return 0
+
+
+def _verify(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
+    reports, findings = verify.run_suite(args.selection, args.max_n)
+    return _emit_reports(args, reports, findings)
+
+
+def _quartic(args) -> int:
+    if args.prec < 1:
+        raise UsageError("--prec must be at least 1")
+    expansion = verify.quartic_expansion(args.p, args.prec)
+    reports = []
+    if args.p == 3:
+        reports.append(verify.quartic_lambda_report(expansion, args.k))
+    if args.format == "json":
+        payload = {
+            "p": args.p,
+            "prec": args.prec,
+            "root": _series_payload(expansion.root),
+            "partial_quotients": [format_poly(q) for q in expansion.cf.quotients],
+            "lambda": list(expansion.lambdas),
+            "u": list(expansion.exponents),
+            "monomial": expansion.monomial,
+            "reports": [r.to_dict() for r in reports],
+        }
+        _emit(args, _json(payload))
+    else:
+        lines = [
+            f"certified quotients: {len(expansion.cf.quotients) - 1}",
+            f"monomial quotients: {'yes' if expansion.monomial else 'no'}",
+            "lambda: " + "".join(str(c) for c in expansion.lambdas),
+            "u: " + ",".join(str(u) for u in expansion.exponents),
         ]
-        if config.fmt == "json":
-            _emit(config, _json(rows))
-        else:
-            _emit(config, "\n".join(f"n={r['n']} nu={r['nu']} max={r['running_max']}" for r in rows))
-        return 0
+        lines += _report_lines(reports)
+        k = sum(r.passed for r in reports)
+        lines.append(f"PASS {k}/{len(reports)}")
+        _emit(args, "\n".join(lines))
+    return 0 if all(r.passed for r in reports) else 2
 
-    if config.command == "verify":
-        if config.max_n is not None and config.max_n < 1:
-            raise UsageError("--max-n must be at least 1")
-        reports, findings = verify.run_suite(config.selection, config.max_n)
-        return _emit_reports(config, reports, findings)
 
-    if config.command == "quartic":
-        if config.prec is None or config.prec < 1:
-            raise UsageError("--prec must be at least 1")
-        expansion = verify.quartic_expansion(config.p, config.prec)
-        reports = []
-        if config.p == 3:
-            reports.append(verify.quartic_lambda_report(expansion, config.count))
-        if config.fmt == "json":
-            payload = {
-                "p": config.p,
-                "prec": config.prec,
-                "root": _series_payload(expansion.root),
-                "partial_quotients": [format_poly(q) for q in expansion.cf.quotients],
-                "lambda": list(expansion.lambdas),
-                "u": list(expansion.exponents),
-                "monomial": expansion.monomial,
-                "reports": [r.to_dict() for r in reports],
-            }
-            _emit(config, _json(payload))
-        else:
-            lines = [
-                f"certified quotients: {len(expansion.cf.quotients) - 1}",
-                f"monomial quotients: {'yes' if expansion.monomial else 'no'}",
-                "lambda: " + "".join(str(c) for c in expansion.lambdas),
-                "u: " + ",".join(str(u) for u in expansion.exponents),
-            ]
-            lines += _report_lines(reports)
-            k = sum(r.passed for r in reports)
-            lines.append(f"PASS {k}/{len(reports)}")
-            _emit(config, "\n".join(lines))
-        return 0 if all(r.passed for r in reports) else 2
-
-    if config.command == "alphabet":
-        variant = verify.alphabet_variant(*config.alphabet)
-        if config.fmt == "json":
-            payload = {
-                "alphabet": [str(v) for v in variant.alphabet],
-                "num": format_poly(variant.r),
-                "den": format_poly(variant.s),
-                "gcd": format_poly(variant.gcd),
-                "coprime": variant.coprime,
-                "reports": [variant.report.to_dict()],
-            }
-            _emit(config, _json(payload))
-        else:
-            _emit(
-                config,
-                "\n".join(
-                    [
-                        f"alphabet: {variant.alphabet[0]},{variant.alphabet[1]}",
-                        f"num: {format_poly(variant.r)}",
-                        f"den: {format_poly(variant.s)}",
-                        f"gcd: {format_poly(variant.gcd)}",
-                        f"coprime: {'yes' if variant.coprime else 'no'}",
-                        f"PASS {int(variant.report.passed)}/1",
-                    ]
-                ),
-            )
-        return 0 if variant.report.passed else 2
-
-    raise UsageError(f"unknown command {config.command!r}")
+def _alphabet(args) -> int:
+    variant = verify.alphabet_variant(*args.pair)
+    if args.format == "json":
+        payload = {
+            "alphabet": [str(v) for v in variant.alphabet],
+            "num": format_poly(variant.r),
+            "den": format_poly(variant.s),
+            "gcd": format_poly(variant.gcd),
+            "coprime": variant.coprime,
+            "reports": [variant.report.to_dict()],
+        }
+        _emit(args, _json(payload))
+    else:
+        lines = [
+            f"alphabet: {variant.alphabet[0]},{variant.alphabet[1]}",
+            f"num: {format_poly(variant.r)}",
+            f"den: {format_poly(variant.s)}",
+            f"gcd: {format_poly(variant.gcd)}",
+            f"coprime: {'yes' if variant.coprime else 'no'}",
+            f"PASS {int(variant.report.passed)}/1",
+        ]
+        _emit(args, "\n".join(lines))
+    return 0 if variant.report.passed else 2
 
 
 def _report_lines(reports) -> list[str]:
@@ -336,26 +291,26 @@ def _report_lines(reports) -> list[str]:
     ]
 
 
-def _emit_reports(config: CliConfig, reports, findings) -> int:
+def _emit_reports(args, reports, findings) -> int:
     passed = sum(r.passed for r in reports)
     summary = f"PASS {passed}/{len(reports)}"
-    if config.fmt == "json":
+    if args.format == "json":
         body = _json([r.to_dict() for r in reports])
-        _emit(config, body + "\n" + summary)
+        _emit(args, body + "\n" + summary)
         for finding in findings:
             print(f"FINDING: {finding}", file=sys.stderr)
     else:
         lines = _report_lines(reports)
         lines += [f"FINDING: {finding}" for finding in findings]
         lines.append(summary)
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if passed == len(reports) else 2
 
 
 def main(argv=None) -> int:
     try:
-        config = build_config(sys.argv[1:] if argv is None else argv)
-        return run(config)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ bit-exactly (plus ordinary expressions like ``(T^3+2*T^2+T-1)/(T^4-T^2)``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, islice
 
 from .fields import QQ, check_same_field
@@ -424,7 +423,14 @@ class _Parser:
         raise ParseError(f"unexpected token {self.tokens[self.pos][1]!r}")
 
 
+# Highest degree a power in a parsed expression may reach, far above any
+# expansion this package can finish; a larger one fails before squaring.
+MAX_POWER_DEGREE = 10**6
+
+
 def _rf_pow(value: RationalFunction, k: int) -> RationalFunction:
+    if abs(k) * max(value.num.degree, value.den.degree) > MAX_POWER_DEGREE:
+        raise ValueError(f"power of degree above {MAX_POWER_DEGREE} in expression")
     if k < 0:
         return _rf_pow(value.invert(), -k)
     result = RationalFunction.from_poly(Polynomial.one(value.field))
@@ -447,8 +453,3 @@ def parse_poly(text: str, field=QQ) -> Polynomial:
     if value.den.degree != 0:
         raise ParseError(f"not a polynomial: {text!r}")
     return value.num  # denominator is monic, hence exactly 1
-
-
-def rational(p, q=1) -> Fraction:
-    """Exact rational helper for tests and expected values."""
-    return Fraction(p, q)

@@ -378,7 +378,8 @@ def quartic_residual(x: LaurentSeries) -> LaurentSeries:
 
 
 def quartic_fixed_point_step(x: LaurentSeries) -> LaurentSeries:
-    """x <- (x^4 + x^2 + 1)/T; each step extends exactness by two digits."""
+    """x <- (x^4 + x^2 + 1)/T; each step extends exactness by two digits.
+    The slow reference for the Newton lift in ``quartic_root``."""
     field = x.field
     x2 = x * x
     x4 = x2 * x2
@@ -390,13 +391,11 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     """The unique small root of x^4 + x^2 - T x + 1 over GF(p), exact on the
     top ``prec`` digits.
 
-    Fixed-point iteration gains two digits per step and is used up to
-    precision 64; beyond that a Newton step doubles the agreement depth, so
-    the total cost stays proportional to a few multiplications at full
-    precision.  Each series product over GF(p) is one Karatsuba bigint
-    product (Kronecker substitution in ``series._mul_trunc``), so precision
-    10^4 takes well under a second.  The residual is re-checked before
-    returning.
+    Each Newton step doubles the agreement depth, so the total cost stays
+    proportional to a few multiplications at full precision.  Each series
+    product over GF(p) is one Karatsuba bigint product (Kronecker
+    substitution in ``series._mul_trunc``), so precision 10^4 takes well
+    under a second.  The residual is re-checked before returning.
     """
     field = GF(p)
     if prec < 1:
@@ -404,27 +403,20 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     # Seed T^-1 agrees with the root down to exponent -2.
     x = LaurentSeries(field, -1, [field.one, field.zero], -2)
     depth = 2
-    if prec <= 64:
-        while depth < prec:
-            x = quartic_fixed_point_step(x.padded(-prec))
-            if x.known_down < -prec:
-                x = x.truncate(-prec)
-            depth += 2
-    else:
-        t_poly = Polynomial.t(field)
-        while depth < prec:
-            target = min(2 * depth + 1, prec)
-            xw = x.padded(-target)
-            x2 = (xw * xw).truncate(-target)
-            x4 = (x2 * x2).truncate(-target)
-            x3 = (x2 * xw).truncate(-target)
-            one = LaurentSeries.from_poly(Polynomial.one(field), -target)
-            t_series = LaurentSeries.from_poly(t_poly, -target)
-            fx = x4 + x2 - xw.shift(1) + one
-            fpx = x3.scale(4) + xw.scale(2) - t_series
-            delta = fx * fpx.invert()
-            x = (xw - delta).truncate(-target)
-            depth = target
+    t_poly = Polynomial.t(field)
+    while depth < prec:
+        target = min(2 * depth + 1, prec)
+        xw = x.padded(-target)
+        x2 = (xw * xw).truncate(-target)
+        x4 = (x2 * x2).truncate(-target)
+        x3 = (x2 * xw).truncate(-target)
+        one = LaurentSeries.from_poly(Polynomial.one(field), -target)
+        t_series = LaurentSeries.from_poly(t_poly, -target)
+        fx = x4 + x2 - xw.shift(1) + one
+        fpx = x3.scale(4) + xw.scale(2) - t_series
+        delta = fx * fpx.invert()
+        x = (xw - delta).truncate(-target)
+        depth = target
     x = x.truncate(-prec)
     if not quartic_residual(x).is_zero:
         raise ArithmeticError("quartic residual is nonzero at the requested precision")
@@ -529,16 +521,23 @@ def alphabet_variant(a, b) -> AlphabetVariant:
     )
 
 
-SUITE_DEFAULT_MAX_N = {
-    "lemma1": 8,
-    "lemma2": 8,
-    "lemma3": 12,
-    "theorem3": 6,
-    "corollary": 6,
-    "conjecture": 5,
+def _conjecture_suite(bound: int):
+    outcome = check_conjecture(bound)
+    return outcome.reports, outcome.findings
+
+
+# name: (default max_n, runner(max_n) -> (reports, findings)).  The runners
+# look their check up when called, so a rebound ``check_*`` is the one run.
+SUITE = {
+    "lemma1": (8, lambda bound: ([check_lemma1(n) for n in range(1, bound + 1)], [])),
+    "lemma2": (8, lambda bound: ([check_lemma2(n) for n in range(1, bound + 1)], [])),
+    "lemma3": (12, lambda bound: ([check_lemma3(n) for n in range(1, bound + 1)], [])),
+    "theorem3": (6, lambda bound: (check_theorem3(bound), [])),
+    "corollary": (6, lambda bound: (check_corollary(bound), [])),
+    "conjecture": (5, _conjecture_suite),
 }
 
-SUITE_ORDER = tuple(SUITE_DEFAULT_MAX_N)
+SUITE_ORDER = tuple(SUITE)
 
 
 def run_suite(selection: str, max_n: int | None = None):
@@ -551,22 +550,11 @@ def run_suite(selection: str, max_n: int | None = None):
     reports: list[CheckReport] = []
     findings: list[str] = []
     for name in names:
-        if name not in SUITE_DEFAULT_MAX_N:
+        if name not in SUITE:
             raise ValueError(f"unknown check {name!r}")
-        bound = max_n if max_n is not None else SUITE_DEFAULT_MAX_N[name]
-        if name == "lemma1":
-            reports.extend(check_lemma1(n) for n in range(1, bound + 1))
-        elif name == "lemma2":
-            reports.extend(check_lemma2(n) for n in range(1, bound + 1))
-        elif name == "lemma3":
-            reports.extend(check_lemma3(n) for n in range(1, bound + 1))
-        elif name == "theorem3":
-            reports.extend(check_theorem3(bound))
-        elif name == "corollary":
-            reports.extend(check_corollary(bound))
-        elif name == "conjecture":
-            outcome = check_conjecture(bound)
-            reports.extend(outcome.reports)
-            findings.extend(outcome.findings)
+        default_max_n, runner = SUITE[name]
+        more_reports, more_findings = runner(default_max_n if max_n is None else max_n)
+        reports.extend(more_reports)
+        findings.extend(more_findings)
     reports.sort(key=lambda rep: (rep.check, rep.n))
     return reports, findings

@@ -25,6 +25,10 @@ from .series import LaurentSeries
 
 _SYMBOLS = frozenset("12")
 
+# Longest block the ladder builds, about 20 times the largest the checks
+# use; a longer request fails fast instead of exhausting memory.
+MAX_BLOCK_LETTERS = 10**7
+
 
 @dataclass(frozen=True)
 class Word:
@@ -52,8 +56,6 @@ class Word:
         return Word(self.symbols * k, self.alphabet)
 
     def __getitem__(self, item) -> "Word":
-        if isinstance(item, slice):
-            return Word(self.symbols[item], self.alphabet)
         return Word(self.symbols[item], self.alphabet)
 
     def with_alphabet(self, alphabet) -> "Word":
@@ -81,6 +83,12 @@ _blocks: list[str] = ["", "1"]
 def _block_symbols(n: int) -> str:
     if n < 0:
         raise ValueError("block index must be nonnegative")
+    # len(n) >= 2^(n-1), so an index past the budget's bit length is over it
+    # without summing the recurrence that far.
+    if n >= len(_blocks) and (
+        n > MAX_BLOCK_LETTERS.bit_length() or length_of(n) > MAX_BLOCK_LETTERS
+    ):
+        raise ValueError(f"block {n} is longer than the budget of {MAX_BLOCK_LETTERS} letters")
     while len(_blocks) <= n:
         m = len(_blocks)
         _blocks.append(_blocks[m - 1] + "2" + _blocks[m - 2] + "2" + _blocks[m - 1])

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import wordcf
 from wordcf import cli, verify
 from wordcf.poly import Polynomial
 
@@ -168,3 +174,42 @@ def test_unknown_command_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "--n", "30"],
+        ["word", "--n", str(10**9)],
+        ["word", "--prefix", str(10**9)],
+        ["theta", "--prec", str(10**9)],
+        ["cf", "--ratfunc", "T^99999999"],
+        ["convergents", "--ratfunc", "(T+1)/T^-99999999"],
+    ],
+)
+def test_oversized_input_fails_fast(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "budget" in err or "degree above" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err_start",
+    [
+        (["word", "--n", "3"], 0, "12212121221\n", ""),
+        (["theta", "--prec", "5", "--field", "6"], 1, "", "usage error:"),
+        (["frobnicate"], 1, "", "usage error:"),
+    ],
+)
+def test_module_entry_point(argv, code, out, err_start):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordcf", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr.startswith(err_start)
+    assert (proc.stderr == "") == (code == 0)

@@ -129,6 +129,17 @@ def test_parse_ratfunc_cli_syntax():
     assert parse_ratfunc("T^-2").den == P("T^2")
 
 
+def test_power_over_degree_budget_fails_before_squaring(monkeypatch):
+    from wordcf import poly
+
+    monkeypatch.setattr(poly, "MAX_POWER_DEGREE", 10)
+    assert parse_poly("T^10") == Polynomial.monomial(QQ, 1, 10)
+    assert parse_ratfunc("(T^2+1)^-5").den == P("(T^2+1)^5")
+    for text in ("T^11", "T^-11", "(T^2+1)^6", "(T^2+1)^-6", "(T/(T^3+1))^4"):
+        with pytest.raises(ValueError, match="degree above 10"):
+            parse_ratfunc(text)
+
+
 def test_parse_rejects_garbage():
     from wordcf.poly import ParseError
 

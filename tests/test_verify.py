@@ -275,9 +275,19 @@ class TestQuartic:
             assert verify.quartic_residual(root).is_zero
 
     def test_newton_and_fixed_point_agree(self):
-        small = verify.quartic_root(3, 64)  # fixed-point branch
-        large = verify.quartic_root(3, 96)  # newton branch
-        assert large.truncate(-64).coeffs == small.coeffs
+        from wordcf.series import LaurentSeries
+
+        for p in (2, 3, 5, 7):
+            field = GF(p)
+            # Seed T^-1, then two more exact digits per fixed-point step.
+            x = LaurentSeries(field, -1, [field.one, field.zero], -2)
+            for _ in range(31):
+                x = verify.quartic_fixed_point_step(x.padded(-64))
+                if x.known_down < -64:
+                    x = x.truncate(-64)
+            x = x.truncate(-64)
+            root = verify.quartic_root(p, 64)
+            assert (root.top, root.coeffs, root.known_down) == (x.top, x.coeffs, x.known_down)
 
     def test_expansion_is_irrational_within_precision(self):
         out = cf_of_series(verify.quartic_root(3, 400))
@@ -347,6 +357,20 @@ class TestSuite:
     def test_unknown_selection(self):
         with pytest.raises(ValueError, match="unknown check"):
             verify.run_suite("lemma9", 2)
+
+    def test_runners_look_checks_up_when_called(self, monkeypatch):
+        # Tracers and tests rebind verify.check_*; the suite must run the
+        # rebound function, not one captured when the table was built.
+        fake = verify.CheckReport("lemma1", 1, "x", "y")
+        for name in ("lemma1", "lemma2", "lemma3"):
+            monkeypatch.setattr(verify, f"check_{name}", lambda n: fake)
+        monkeypatch.setattr(verify, "check_theorem3", lambda max_n: [fake])
+        monkeypatch.setattr(verify, "check_corollary", lambda max_n: [fake])
+        monkeypatch.setattr(
+            verify, "check_conjecture", lambda max_n: verify.ConjectureOutcome([fake], [], ["note"])
+        )
+        reports, findings = verify.run_suite("all", 2)
+        assert reports == [fake] * 9 and findings == ["note"]
 
     def test_report_pass_is_derived_from_strings(self):
         rep = verify.CheckReport("x", 1, "a", "b")

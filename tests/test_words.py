@@ -27,6 +27,19 @@ symbols = st.text(alphabet="12", min_size=0, max_size=40)
 nonempty_symbols = st.text(alphabet="12", min_size=1, max_size=40)
 
 
+def test_block_budget_is_checked_before_building(monkeypatch):
+    # lengths: 0, 1, 4, 11, 28, 69, ...
+    monkeypatch.setattr(words, "_blocks", ["", "1"])
+    monkeypatch.setattr(words, "MAX_BLOCK_LETTERS", 28)
+    for n in (5, 6, 10**9):
+        with pytest.raises(ValueError, match="budget of 28 letters"):
+            block(n)
+    assert words._blocks == ["", "1"]
+    assert len(block(4)) == 28
+    with pytest.raises(ValueError, match="budget"):
+        prefix(29)
+
+
 def test_blocks_by_hand():
     assert block(1).symbols == "1"
     assert block(2).symbols == "1221"
