@@ -21,7 +21,6 @@ from .poly import (
 from .series import LaurentSeries, PrecisionError, series_of_fraction
 from .words import (
     AuxWords,
-    Word,
     aux_words,
     block,
     check_identities,

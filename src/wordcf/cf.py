@@ -100,9 +100,14 @@ def cf_of_fraction(num: Polynomial, den: Polynomial) -> ContinuedFraction:
 
 
 def eval_cf(cf: ContinuedFraction) -> RationalFunction:
-    """Collapse a finite continued fraction back to a reduced fraction."""
-    x, y = convergents(cf).rows[-1]
-    # gcd(x, y) = 1 by the determinant identity, so skip the gcd.
+    """Collapse a finite continued fraction back to a reduced fraction,
+    folding the quotients from the back."""
+    *head, last = cf.quotients
+    x, y = last, Polynomial.one(cf.field)
+    for a in reversed(head):
+        x, y = a * x + y, x
+    # (x, y) are the continuants of the table's last row, so gcd(x, y) = 1
+    # by the determinant identity: skip the gcd.
     return RationalFunction._from_coprime(x, y)
 
 

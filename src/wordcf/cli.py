@@ -18,7 +18,7 @@ from .fields import GF, QQ
 from .poly import ParseError, format_poly, parse_ratfunc
 from .series import PrecisionError
 from .cf import cf_of_fraction, cf_of_series, convergents, measure_terms
-from .words import block, prefix, theta_series
+from .words import block, check_block_budget, prefix, theta_series
 from . import verify
 
 
@@ -153,7 +153,7 @@ def _word(args) -> int:
     if (args.n is None) == (args.prefix is None):
         raise UsageError("word needs exactly one of --n or --prefix")
     w = block(args.n) if args.n is not None else prefix(args.prefix)
-    _emit(args, _json({"word": str(w)}) if args.format == "json" else str(w))
+    _emit(args, _json({"word": w}) if args.format == "json" else w)
     return 0
 
 
@@ -196,6 +196,8 @@ def _convergents(args) -> int:
 def _measure(args) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
+    # theta_expansion(N + 1) reaches aux_words(N + 2), which builds u(N + 3).
+    check_block_budget(args.max_n + 3)
     degrees = verify.theta_expansion(args.max_n + 1).degrees()
     terms = measure_terms(degrees)
     if args.csv:

@@ -12,9 +12,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-# Scalars handled by RationalField; GF(p) uses plain ints.
-Scalar = int | Fraction
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

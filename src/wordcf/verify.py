@@ -23,7 +23,7 @@ from .cf import (
     approx_order,
     measure_terms,
 )
-from .words import aux_words, lengths, prefix, theta_series, word_poly
+from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
 
 
 @dataclass(frozen=True)
@@ -60,42 +60,38 @@ class ApproximantPair:
 
 
 @functools.lru_cache(maxsize=None)
-def tail_periodic_pair(n: int, alphabet=(1, 2), field=QQ) -> ApproximantPair:
+def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
     """Approximant from the eventually periodic word u v v v...
 
     den = T^((len_n + len_{n-1} + 3)/2) (T^(len_n + 1) - 1) from the word
-    lengths alone; num is the difference of consecutive g-encodings.  For the
-    default alphabet over Q, num(1) != 0 is asserted (it can genuinely vanish
+    lengths alone; num is the difference of consecutive g-encodings over Q.
+    For the default alphabet, num(1) != 0 is asserted (it can genuinely vanish
     for other alphabets, which is the point of the alphabet variant).
     """
     if n < 1:
         raise ValueError("approximants are defined for n >= 1")
     ell = lengths(n + 1)
-    g_now = aux_words(n).g.with_alphabet(alphabet)
-    g_next = aux_words(n + 1).g.with_alphabet(alphabet)
-    r = word_poly(g_next, field) - word_poly(g_now, field)
+    g_now = aux_words(n).g
+    g_next = aux_words(n + 1).g
+    r = word_poly(g_next, alphabet=alphabet) - word_poly(g_now, alphabet=alphabet)
     low = (ell[n] + ell[n - 1] + 3) // 2
-    s = Polynomial.monomial(field, field.one, low + ell[n] + 1) - Polynomial.monomial(
-        field, field.one, low
-    )
-    if field == QQ and tuple(alphabet) == (1, 2) and r.evaluate(1) == 0:
+    s = Polynomial.monomial(QQ, QQ.one, low + ell[n] + 1) - Polynomial.monomial(QQ, QQ.one, low)
+    if alphabet == (1, 2) and r.evaluate(1) == 0:
         raise ArithmeticError(f"num(1) vanished unexpectedly at n={n}")
     return ApproximantPair(n=n, r=r, s=s, kind="tail-periodic")
 
 
 @functools.lru_cache(maxsize=None)
-def pure_periodic_pair(n: int, alphabet=(1, 2), field=QQ) -> ApproximantPair:
+def pure_periodic_pair(n: int) -> ApproximantPair:
     """Approximant from the purely periodic word (u')^infinity:
     num = encoding of u', den = T^len(u') - 1."""
     if n < 1:
         raise ValueError("approximants are defined for n >= 1")
     ell = lengths(n)
-    up = aux_words(n).up.with_alphabet(alphabet)
-    r = word_poly(up, field)
-    s = Polynomial.monomial(field, field.one, 3 * ell[n] + ell[n - 1] + 4) - Polynomial.one(field)
-    if field == QQ and tuple(alphabet) == (1, 2):
-        if r.coefficient(0) == 0 or r.evaluate(1) == 0:
-            raise ArithmeticError(f"num(0) or num(1) vanished unexpectedly at n={n}")
+    r = word_poly(aux_words(n).up)
+    s = Polynomial.monomial(QQ, QQ.one, 3 * ell[n] + ell[n - 1] + 4) - Polynomial.one(QQ)
+    if r.coefficient(0) == 0 or r.evaluate(1) == 0:
+        raise ArithmeticError(f"num(0) or num(1) vanished unexpectedly at n={n}")
     return ApproximantPair(n=n, r=r, s=s, kind="pure-periodic")
 
 
@@ -204,7 +200,7 @@ def is_convergent(cf: ContinuedFraction, k: int, r: Polynomial, s: Polynomial) -
     )
 
 
-def check_theorem3(max_n: int, series_prec: int | None = None) -> list[CheckReport]:
+def check_theorem3(max_n: int) -> list[CheckReport]:
     """Degree law of the expansion: the first four degrees are 1; block n
     contributes degrees ((3 len_n + len_{n-1} + 1)/2, 1, (len_n + len_{n-1} + 1)/2, 1);
     and the approximant pairs are, up to a scalar, the convergents at
@@ -217,9 +213,8 @@ def check_theorem3(max_n: int, series_prec: int | None = None) -> list[CheckRepo
     ell = lengths(max_n + 1)
     reports: list[CheckReport] = []
 
-    if series_prec is None:
-        m = min(max_n, 2)
-        series_prec = 3 * ell[m + 1] + ell[m] + 5  # = 2 deg(den_{m+1})
+    m = min(max_n, 2)
+    series_prec = 3 * ell[m + 1] + ell[m] + 5  # = 2 deg(den_{m+1})
     expansion = cf_of_series(theta_series(series_prec))
     k = expansion.emitted
     prefix_ok = expansion.cf.quotients[: k + 1] == cf.quotients[: k + 1]
@@ -472,7 +467,7 @@ def quartic_lambda_report(expansion: QuarticExpansion, count: int) -> CheckRepor
             f"certified only {len(expansion.lambdas)} quotients; "
             f"raise prec above {prec} to certify {count}"
         )
-    word = "".join(str(v) for v in prefix(count).values())
+    word = prefix(count)
     coeffs = "".join(str(c) for c in expansion.lambdas[:count])
     in_alphabet = all(c in (1, 2) for c in expansion.lambdas[:count])
     expected = f"monomials=yes;lambda_in_{{1,2}}=yes;lambda[1..{count}]={word}"
@@ -500,8 +495,6 @@ def alphabet_variant(a, b) -> AlphabetVariant:
     """Report gcd(num, den) of the first tail-periodic approximant over the
     alphabet (a, b); coprimality holds for (1, 2) and fails for (1, -1)."""
     a, b = QQ.coerce(a), QQ.coerce(b)
-    if a == b:
-        raise ValueError("alphabet letters must be distinct")
     pair = tail_periodic_pair(1, alphabet=(a, b))
     g = poly_gcd(pair.r, pair.s)
     coprime = g.degree == 0
@@ -553,7 +546,10 @@ def run_suite(selection: str, max_n: int | None = None):
         if name not in SUITE:
             raise ValueError(f"unknown check {name!r}")
         default_max_n, runner = SUITE[name]
-        more_reports, more_findings = runner(default_max_n if max_n is None else max_n)
+        bound = default_max_n if max_n is None else max_n
+        # A check to depth N reaches aux_words(N + 2), which builds u(N + 3).
+        check_block_budget(bound + 3)
+        more_reports, more_findings = runner(bound)
         reports.extend(more_reports)
         findings.extend(more_findings)
     reports.sort(key=lambda rep: (rep.check, rep.n))

@@ -23,81 +23,33 @@ from .fields import QQ
 from .poly import Polynomial, RationalFunction
 from .series import LaurentSeries
 
-_SYMBOLS = frozenset("12")
-
 # Longest block the ladder builds, about 20 times the largest the checks
 # use; a longer request fails fast instead of exhausting memory.
 MAX_BLOCK_LETTERS = 10**7
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word over a two-letter alphabet of field elements."""
-
-    symbols: str
-    alphabet: tuple = (1, 2)
-
-    def __post_init__(self):
-        if not _SYMBOLS.issuperset(self.symbols):
-            raise ValueError("word symbols must be '1' or '2'")
-        a, b = self.alphabet
-        if a == b:
-            raise ValueError("alphabet letters must be distinct")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __add__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.alphabet)
-
-    def __mul__(self, k: int) -> "Word":
-        return Word(self.symbols * k, self.alphabet)
-
-    def __getitem__(self, item) -> "Word":
-        return Word(self.symbols[item], self.alphabet)
-
-    def with_alphabet(self, alphabet) -> "Word":
-        return Word(self.symbols, tuple(alphabet))
-
-    def values(self) -> tuple:
-        a, b = self.alphabet
-        return tuple(a if ch == "1" else b for ch in self.symbols)
-
-    def startswith(self, other: "Word") -> bool:
-        return self.alphabet == other.alphabet and self.symbols.startswith(
-            other.symbols
-        )
-
-    def __str__(self):
-        if self.alphabet == (1, 2):
-            return self.symbols
-        return ",".join(str(v) for v in self.values())
 
 
 # Memoized block ladder; read-only once built.
 _blocks: list[str] = ["", "1"]
 
 
-def _block_symbols(n: int) -> str:
-    if n < 0:
-        raise ValueError("block index must be nonnegative")
+def check_block_budget(n: int) -> None:
+    """Raise ValueError when block n is longer than MAX_BLOCK_LETTERS."""
     # len(n) >= 2^(n-1), so an index past the budget's bit length is over it
     # without summing the recurrence that far.
-    if n >= len(_blocks) and (
-        n > MAX_BLOCK_LETTERS.bit_length() or length_of(n) > MAX_BLOCK_LETTERS
-    ):
+    if n > MAX_BLOCK_LETTERS.bit_length() or length_of(n) > MAX_BLOCK_LETTERS:
         raise ValueError(f"block {n} is longer than the budget of {MAX_BLOCK_LETTERS} letters")
+
+
+def block(n: int) -> str:
+    """The n-th block of the recursion (length table entry n)."""
+    if n < 0:
+        raise ValueError("block index must be nonnegative")
+    if n >= len(_blocks):
+        check_block_budget(n)
     while len(_blocks) <= n:
         m = len(_blocks)
         _blocks.append(_blocks[m - 1] + "2" + _blocks[m - 2] + "2" + _blocks[m - 1])
     return _blocks[n]
-
-
-def block(n: int) -> Word:
-    """The n-th block of the recursion (length table entry n)."""
-    return Word(_block_symbols(n))
 
 
 def lengths(upto: int) -> tuple[int, ...]:
@@ -114,14 +66,14 @@ def length_of(n: int) -> int:
     return lengths(n)[n]
 
 
-def prefix(count: int) -> Word:
+def prefix(count: int) -> str:
     """First ``count`` letters of the infinite word."""
     if count < 0:
         raise ValueError("prefix length must be nonnegative")
     n = 0
     while length_of(n) < count:
         n += 1
-    return Word(_block_symbols(n)[:count])
+    return block(n)[:count]
 
 
 def _sqrt2_mul(x, y):
@@ -156,14 +108,14 @@ class AuxWords:
     """
 
     n: int
-    u: Word
-    v: Word
-    f: Word
-    g: Word
-    h: Word
-    j: Word
-    i: Word
-    up: Word
+    u: str
+    v: str
+    f: str
+    g: str
+    h: str
+    j: str
+    i: str
+    up: str
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +126,7 @@ def _aux_symbols(n: int) -> tuple[str, str, str, str]:
     if n == 1:
         return "", "12", "21", ""
     f_prev, g_prev, h_prev, j_prev = _aux_symbols(n - 1)
-    b_prev = _block_symbols(n - 1)
+    b_prev = block(n - 1)
     f = f_prev + "2" + b_prev
     h = "2" + g_prev
     g = _u_symbols(n - 1) + h_prev
@@ -183,11 +135,11 @@ def _aux_symbols(n: int) -> tuple[str, str, str, str]:
 
 
 def _u_symbols(n: int) -> str:
-    return _block_symbols(n) + "2" + _block_symbols(n - 1)
+    return block(n) + "2" + block(n - 1)
 
 
 def _v_symbols(n: int) -> str:
-    return "2" + _block_symbols(n)
+    return "2" + block(n)
 
 
 def aux_words(n: int) -> AuxWords:
@@ -213,39 +165,37 @@ def aux_words(n: int) -> AuxWords:
         raise ValueError(f"|f| or |j| is off the length law at n={n}")
     if len(up) != 3 * ell[n] + ell[n - 1] + 4:
         raise ValueError(f"|u(n+1) 2| is off the length law at n={n}")
-    return AuxWords(
-        n=n,
-        u=Word(u),
-        v=Word(v),
-        f=Word(f),
-        g=Word(g),
-        h=Word(h),
-        j=Word(j),
-        i=Word(i),
-        up=Word(up),
-    )
+    return AuxWords(n=n, u=u, v=v, f=f, g=g, h=h, j=j, i=i, up=up)
 
 
-def last_letters_differ(a: Word, b: Word) -> bool:
+def last_letters_differ(a: str, b: str) -> bool:
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty word has no last letter")
-    return a.symbols[-1] != b.symbols[-1]
+    return a[-1] != b[-1]
 
 
-def first_letters_differ(a: Word, b: Word) -> bool:
+def first_letters_differ(a: str, b: str) -> bool:
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty word has no first letter")
-    return a.symbols[0] != b.symbols[0]
+    return a[0] != b[0]
 
 
-def word_poly(w: Word, field=QQ) -> Polynomial:
+def word_poly(w: str, field=QQ, alphabet=(1, 2)) -> Polynomial:
     """Encode a word as the polynomial with its letters as coefficients,
-    first letter carrying the highest power of T."""
-    letter = {"1": field.coerce(w.alphabet[0]), "2": field.coerce(w.alphabet[1])}
-    return Polynomial._raw(field, list(map(letter.__getitem__, reversed(w.symbols))))
+    first letter carrying the highest power of T; the alphabet (a, b) gives
+    the values of the symbols "1" and "2"."""
+    a, b = alphabet
+    if a == b:
+        raise ValueError("alphabet letters must be distinct")
+    letter = {"1": field.coerce(a), "2": field.coerce(b)}
+    try:
+        coeffs = list(map(letter.__getitem__, reversed(w)))
+    except KeyError as exc:
+        raise ValueError("word symbols must be '1' or '2'") from exc
+    return Polynomial._raw(field, coeffs)
 
 
-def word_fraction(w: Word, field=QQ) -> RationalFunction:
+def word_fraction(w: str, field=QQ) -> RationalFunction:
     """The word polynomial divided by T^len, reduced."""
     num = word_poly(w, field)
     k = len(w)
@@ -288,8 +238,7 @@ def theta_series(prec: int, field=QQ) -> LaurentSeries:
     """Generating series of the infinite word: letter k at exponent -k."""
     if prec < 1:
         raise ValueError("prec must be at least 1")
-    letters = prefix(prec).values()
-    return LaurentSeries(field, -1, letters, -prec)
+    return LaurentSeries(field, -1, map(int, prefix(prec)), -prec)
 
 
 @dataclass(frozen=True)
@@ -310,8 +259,8 @@ def check_identities(n: int) -> list[IdentityCheck]:
     ell = lengths(n + 3)
     aux = aux_words(n)
     aux_next = aux_words(n + 1)
-    b = {k: _block_symbols(k) for k in range(n + 4)}
-    u, v = aux.u.symbols, aux.v.symbols
+    b = {k: block(k) for k in range(n + 4)}
+    u, v = aux.u, aux.v
     v_prev = _v_symbols(n - 1)
     checks: list[IdentityCheck] = []
 
@@ -327,22 +276,21 @@ def check_identities(n: int) -> list[IdentityCheck]:
         aux_prev = aux_words(n - 1)
         record(
             "u == u_prev v_prev^2",
-            u == aux_prev.u.symbols + v_prev * 2,
+            u == aux_prev.u + v_prev * 2,
         )
     else:
         checks.append(IdentityCheck("u == u_prev v_prev^2", n, "skip"))
     record(
         "v_prev v == 2 j i",
-        v_prev + v == "2" + aux.j.symbols + aux.i.symbols,
+        v_prev + v == "2" + aux.j + aux.i,
     )
-    i_prev = aux_words(n - 1).i.symbols if n >= 2 else "1"
-    record("v == 2 j i_prev", v == "2" + aux.j.symbols + i_prev)
-    record("h(n+1) == 2 g", aux_next.h.symbols == "2" + aux.g.symbols)
-    record("g(n+1) == u h", aux_next.g.symbols == u + aux.h.symbols)
-    up = aux.up.symbols
+    i_prev = aux_words(n - 1).i if n >= 2 else "1"
+    record("v == 2 j i_prev", v == "2" + aux.j + i_prev)
+    record("h(n+1) == 2 g", aux_next.h == "2" + aux.g)
+    record("g(n+1) == u h", aux_next.g == u + aux.h)
     record(
         "block(n+3) == up^2 block(n-1) 2 block(n) 2 block(n+2)",
-        b[n + 3] == up * 2 + b[n - 1] + "2" + b[n] + "2" + b[n + 2],
+        b[n + 3] == aux.up * 2 + b[n - 1] + "2" + b[n] + "2" + b[n + 2],
     )
     a_word, b_word = residual_suffixes(n)
     record(
@@ -352,12 +300,12 @@ def check_identities(n: int) -> list[IdentityCheck]:
     return checks
 
 
-def residual_suffixes(n: int) -> tuple[Word, Word]:
+def residual_suffixes(n: int) -> tuple[str, str]:
     """The words a, b with block(n-1) 2 block(n) 2 block(n+2) = j a and
     up = j b; they are computed, not formula-built."""
     aux = aux_words(n)
-    j = aux.j.symbols
-    left = _block_symbols(n - 1) + "2" + _block_symbols(n) + "2" + _block_symbols(n + 2)
-    if not left.startswith(j) or not aux.up.symbols.startswith(j):
+    j = aux.j
+    left = block(n - 1) + "2" + block(n) + "2" + block(n + 2)
+    if not left.startswith(j) or not aux.up.startswith(j):
         raise ValueError(f"residual decomposition failed at n={n}")
-    return Word(left[len(j) :]), Word(aux.up.symbols[len(j) :])
+    return left[len(j) :], aux.up[len(j) :]

@@ -13,7 +13,6 @@ from wordcf.fields import QQ
 from wordcf.poly import Polynomial, RationalFunction, parse_poly, poly_gcd
 from wordcf.cf import cf_of_fraction, convergents, eval_cf, measure_terms
 from wordcf.words import (
-    Word,
     length_closed_form_ok,
     lengths,
     theta_series,
@@ -169,8 +168,8 @@ def test_criterion_10_property_suites():
                 break
 
     for _ in range(500):
-        a = Word("".join(rng.choice("12") for _ in range(rng.randint(0, 40))))
-        b = Word("".join(rng.choice("12") for _ in range(rng.randint(0, 40))))
+        a = "".join(rng.choice("12") for _ in range(rng.randint(0, 40)))
+        b = "".join(rng.choice("12") for _ in range(rng.randint(0, 40)))
         if word_poly(a + b) != word_poly(a).shift(len(b)) + word_poly(b):
             failures += 1
 

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcf.fields import QQ
+from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, RationalFunction, parse_poly
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.cf import (
@@ -93,6 +94,29 @@ def test_round_trip_small(pair):
 def test_round_trip_degree_30(pair):
     num, den = pair
     assert eval_cf(cf_of_fraction(num, den)) == RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_eval_cf_matches_table_and_round_trips(field):
+    # Reference: the convergent table's last row, made monic.
+    rng = random.Random(5)
+
+    def random_poly(min_len):
+        length = rng.randint(min_len, 12)
+        if field == QQ:
+            return Polynomial(field, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)])
+        return Polynomial(field, [rng.randrange(field.p) for _ in range(length)])
+
+    for _ in range(60):
+        num, den = random_poly(0), random_poly(1)
+        if den.is_zero:
+            continue
+        cf = cf_of_fraction(num, den)
+        x, y = convergents(cf).rows[-1]
+        inv = field.invert(y.lead)
+        value = eval_cf(cf)
+        assert (value.num, value.den) == (x.scale(inv), y.scale(inv))
+        assert value == RationalFunction(num, den)
 
 
 class TestSeriesExpansion:
@@ -191,8 +215,8 @@ class TestApproxOrder:
             aux = aux_words(n)
             horizon = 2000
             rank = first_difference_rank(
-                prefix(horizon).symbols,
-                tail_periodic_symbols(aux.u.symbols, aux.v.symbols, horizon),
+                prefix(horizon),
+                tail_periodic_symbols(aux.u, aux.v, horizon),
             )
             assert approx_order(theta_series(rank + 4), pair.r, pair.s) == rank
 

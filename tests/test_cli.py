@@ -84,10 +84,8 @@ def test_forced_failure_gives_exit_two(capsys, monkeypatch):
     # the process contract must report it as a check failure.
     real = verify.tail_periodic_pair
 
-    def corrupted(n, alphabet=(1, 2), field=None):
-        from wordcf.fields import QQ
-
-        pair = real(n, alphabet, field or QQ)
+    def corrupted(n, alphabet=(1, 2)):
+        pair = real(n, alphabet)
         if n == 1:
             bad = pair.r + Polynomial.one(pair.r.field)
             return verify.ApproximantPair(n=pair.n, r=bad, s=pair.s, kind=pair.kind)
@@ -185,6 +183,10 @@ def test_unknown_command_is_usage_error(capsys):
         ["theta", "--prec", str(10**9)],
         ["cf", "--ratfunc", "T^99999999"],
         ["convergents", "--ratfunc", "(T+1)/T^-99999999"],
+        ["measure", "--max-n", "1000000000"],
+        ["verify", "all", "--max-n", "1000000000"],
+        ["verify", "lemma1", "--max-n", "30"],
+        ["verify", "theorem3", "--max-n", "30"],
     ],
 )
 def test_oversized_input_fails_fast(capsys, argv):

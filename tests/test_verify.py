@@ -309,7 +309,7 @@ class TestQuartic:
         assert residual.is_zero and residual.known_down <= -9_999
         assert expansion.monomial
         assert set(expansion.lambdas) <= {1, 2}
-        assert expansion.lambdas[:1000] == prefix(1000).values()
+        assert expansion.lambdas[:1000] == tuple(map(int, prefix(1000)))
 
     def test_insufficient_precision_hint(self):
         with pytest.raises(PrecisionError, match="raise prec"):

@@ -6,7 +6,6 @@ from wordcf import words
 from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, parse_poly
 from wordcf.words import (
-    Word,
     aux_words,
     block,
     check_identities,
@@ -41,16 +40,16 @@ def test_block_budget_is_checked_before_building(monkeypatch):
 
 
 def test_blocks_by_hand():
-    assert block(1).symbols == "1"
-    assert block(2).symbols == "1221"
-    assert block(3).symbols == "12212121221"
+    assert block(1) == "1"
+    assert block(2) == "1221"
+    assert block(3) == "12212121221"
     assert len(block(3)) == 11
 
 
 def test_prefix_examples():
-    assert prefix(4).symbols == "1221"
-    assert prefix(0).symbols == ""
-    assert prefix(11).symbols == "12212121221"
+    assert prefix(4) == "1221"
+    assert prefix(0) == ""
+    assert prefix(11) == "12212121221"
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -84,13 +83,13 @@ def test_block_lengths_match_table():
 class TestAuxWords:
     def test_first_index_values(self):
         aux = aux_words(1)
-        assert aux.u.symbols == "12"
-        assert aux.v.symbols == "21"
-        assert aux.up.symbols == "1221212"
+        assert aux.u == "12"
+        assert aux.v == "21"
+        assert aux.up == "1221212"
         assert len(aux.up) == 3 * 1 + 0 + 4
 
     def test_second_index_residual(self):
-        assert aux_words(2).i.symbols == "1221"
+        assert aux_words(2).i == "1221"
 
     def test_decomposition_invariants(self):
         for n in range(1, 9):
@@ -112,62 +111,62 @@ class TestAuxWords:
 
 
 def test_letter_relations():
-    assert last_letters_differ(Word("12"), Word("21"))
-    assert first_letters_differ(Word("1221"), Word("21"))
-    assert not last_letters_differ(Word("1"), Word("1"))
-    assert not first_letters_differ(Word("1"), Word("1"))
+    assert last_letters_differ("12", "21")
+    assert first_letters_differ("1221", "21")
+    assert not last_letters_differ("1", "1")
+    assert not first_letters_differ("1", "1")
     with pytest.raises(ValueError):
-        last_letters_differ(Word(""), Word("1"))
+        last_letters_differ("", "1")
 
 
 class TestWordEncoding:
     def test_single_letter(self):
-        assert word_poly(Word("1")) == parse_poly("1")
+        assert word_poly("1") == parse_poly("1")
 
     def test_block_two(self):
-        assert word_poly(Word("1221")) == parse_poly("T^3+2*T^2+2*T+1")
+        assert word_poly("1221") == parse_poly("T^3+2*T^2+2*T+1")
 
     def test_homomorphism_example(self):
-        a, b = Word("1"), Word("2")
+        a, b = "1", "2"
         lhs = word_poly(a + b)
         rhs = word_poly(a).shift(len(b)) + word_poly(b)
         assert lhs == rhs == parse_poly("T+2")
 
     def test_empty_word_encodes_to_zero(self):
-        assert word_poly(Word("")).is_zero
+        assert word_poly("").is_zero
 
     @given(a=symbols, b=symbols)
     def test_homomorphism(self, a, b):
-        wa, wb = Word(a), Word(b)
-        assert word_poly(wa + wb) == word_poly(wa).shift(len(b)) + word_poly(wb)
+        assert word_poly(a + b) == word_poly(a).shift(len(b)) + word_poly(b)
 
     def test_fraction_reduces_only_powers_of_t(self):
-        f = word_fraction(Word("1221"))
+        f = word_fraction("1221")
         assert f.num == parse_poly("T^3+2*T^2+2*T+1")
         assert f.den == parse_poly("T^4")
 
     def test_general_alphabet(self):
-        w = Word("1221", alphabet=(1, -1))
-        assert word_poly(w) == parse_poly("T^3-T^2-T+1")
-        assert str(w) == "1,-1,-1,1"
-        assert str(Word("1221")) == "1221"
+        assert word_poly("1221", alphabet=(1, -1)) == parse_poly("T^3-T^2-T+1")
 
     def test_alphabet_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            Word("12", alphabet=(1, 1))
+        with pytest.raises(ValueError, match="alphabet letters must be distinct"):
+            word_poly("12", alphabet=(1, 1))
+
+    def test_symbols_must_be_one_or_two(self):
+        with pytest.raises(ValueError, match="word symbols must be '1' or '2'"):
+            word_poly("13")
 
     def test_gf_coefficients(self):
-        assert word_poly(Word("1221"), GF(3)).coeffs == (1, 2, 2, 1)
+        assert word_poly("1221", GF(3)).coeffs == (1, 2, 2, 1)
 
 
 class TestFirstDifferenceRank:
     def test_against_tail_periodic_approximant(self):
         # the word versus u v v v ... at n = 1 first differs at rank 10
-        w = prefix(40).symbols
+        w = prefix(40)
         assert first_difference_rank(w, tail_periodic_symbols("12", "21", 40)) == 10
 
     def test_against_pure_periodic_approximant(self):
-        w = prefix(40).symbols
+        w = prefix(40)
         assert first_difference_rank(w, tail_periodic_symbols("", "1221212", 40)) == 15
 
     def test_rank_one(self):
@@ -184,7 +183,7 @@ class TestFirstDifferenceRank:
         # pad to the same length so the encodings share a denominator
         n = max(len(a), len(b))
         a, b = a.ljust(n, "1"), b.ljust(n, "1")
-        pa, pb = word_poly(Word(a)), word_poly(Word(b))
+        pa, pb = word_poly(a), word_poly(b)
         if pa == pb:
             return
         rank = first_difference_rank(a, b)
@@ -202,8 +201,8 @@ def test_identity_report_boundary_and_generic():
 
 def test_residual_suffixes_at_one():
     a, b = residual_suffixes(1)
-    assert a.symbols == "21212212121221"
-    assert b.symbols == "1221212"
+    assert a == "21212212121221"
+    assert b == "1221212"
     assert first_letters_differ(a, b)
 
 
@@ -211,14 +210,9 @@ def test_theta_series_letters():
     s = theta_series(9)
     assert s.top == -1
     assert s.known_down == -9
-    assert s.coeffs == prefix(9).values()
+    assert s.coeffs == tuple(map(int, prefix(9)))
     s3 = theta_series(9, GF(3))
-    assert s3.coeffs == tuple(v % 3 for v in prefix(9).values())
-
-
-def test_word_concat_requires_same_alphabet():
-    with pytest.raises(ValueError):
-        Word("1") + Word("1", alphabet=(1, 3))
+    assert s3.coeffs == tuple(v % 3 for v in map(int, prefix(9)))
 
 
 @pytest.mark.parametrize(
@@ -229,5 +223,5 @@ def test_word_poly_matches_coerced_letters(alphabet, field):
     # Reference: the constructor path, which coerces every letter.
     field = field or QQ
     for symbols in ("", "1", "2", "1221", "2112", "122122112", "2" * 9):
-        w = Word(symbols, alphabet=alphabet)
-        assert word_poly(w, field) == Polynomial(field, list(reversed(w.values())))
+        letters = [alphabet[int(ch) - 1] for ch in reversed(symbols)]
+        assert word_poly(symbols, field, alphabet) == Polynomial(field, letters)
