@@ -73,9 +73,6 @@ class RationalField:
     def format_scalar(self, value) -> str:
         return str(value)
 
-    def parse_scalar(self, text: str):
-        return _as_int(Fraction(text))
-
     def __repr__(self):
         return "QQ"
 
@@ -128,9 +125,6 @@ class PrimeField:
 
     def format_scalar(self, value) -> str:
         return str(value)
-
-    def parse_scalar(self, text: str):
-        return int(text, 10) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -1,41 +1,86 @@
 """Dense univariate polynomials in T over an exact field, and their quotients.
 
-Coefficients are stored ascending (index = exponent of T); the leading
-coefficient is nonzero and the zero polynomial is the empty tuple.  The text
-format is a sum of ``c*T^k`` terms with rationals as ``p/q``, e.g.
+A polynomial stores its coefficients as one tuple of ints, ``ints``,
+ascending (index = exponent of T), over one positive int denominator
+``den``: coefficient k is ints[k]/den.  The last entry of ``ints`` is
+nonzero, and the zero polynomial is the empty tuple.  The form is canonical,
+with gcd(content, den) = 1, so ``==`` and ``hash`` are tuple compares.  Over
+Q, arithmetic is fraction-free: it runs on the ints and normalises each
+result once, with one gcd over the whole vector, instead of once per
+coefficient; division is pseudo-division (content bookkeeping as in von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Over GF(p), ``ints``
+holds the residues in [0, p) and ``den`` is 1.
+
+``coeffs`` is the field-element view: the stored tuple itself when
+``den == 1`` (every integer polynomial, and every GF(p) one), otherwise one
+``int``/``Fraction`` per coefficient, built on demand.
+
+The text format is a sum of ``c*T^k`` terms with rationals as ``p/q``, e.g.
 ``-125/48*T^1 + 25/24*T^0``, and ``parse_ratfunc`` reads that format back
 bit-exactly (plus ordinary expressions like ``(T^3+2*T^2+T-1)/(T^4-T^2)``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress, islice
+from math import comb, gcd, lcm
 
-from .fields import QQ, check_same_field
+from .fields import GF, QQ, check_same_field
+
+
+def _element(value, den: int):
+    """The field element value/den; an int when it is integral."""
+    if den == 1:
+        return value
+    q = Fraction(value, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Polynomial:
     """Immutable dense polynomial over a fixed coefficient field."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "ints", "den")
 
     def __init__(self, field, coeffs=()):
         coeffs = [field.coerce(c) for c in coeffs]
+        den = 1
+        dens = [c.denominator for c in coeffs if type(c) is not int]
+        if dens:
+            # Each Fraction is reduced, so over the lcm of the denominators
+            # the form is already canonical.
+            den = lcm(*dens)
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "ints", tuple(coeffs))
+        object.__setattr__(self, "den", den if coeffs else 1)
 
     @classmethod
-    def _raw(cls, field, coeffs):
-        # Trusted path: coefficients already reduced, only strip the tail.
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
+    def _raw(cls, field, ints, den=1):
+        # Trusted path: ints already reduced and canonical over den; only
+        # strip the tail.
+        n = len(ints)
+        while n and not ints[n - 1]:
             n -= 1
         self = object.__new__(cls)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:n] if n < len(coeffs) else coeffs))
+        object.__setattr__(self, "ints", tuple(ints[:n] if n < len(ints) else ints))
+        object.__setattr__(self, "den", den if n else 1)
         return self
+
+    @classmethod
+    def _over(cls, field, ints, den):
+        # ints/den over Q made canonical by one gcd over the whole vector.
+        if den != 1:
+            g = gcd(den, *ints)
+            if den < 0:
+                g = -g
+            if g != 1:
+                ints = [c // g for c in ints]
+                den //= g
+        return cls._raw(field, ints, den)
 
     @classmethod
     def zero(cls, field):
@@ -50,7 +95,7 @@ class Polynomial:
         coeff = field.coerce(coeff)
         if not coeff:
             return cls.zero(field)
-        return cls._raw(field, (field.zero,) * k + (coeff,))
+        return cls._raw(field, (0,) * k + (coeff.numerator,), coeff.denominator)
 
     @classmethod
     def t(cls, field):
@@ -60,23 +105,31 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self):
+        """The coefficients as field elements, ascending."""
+        den = self.den
+        if den == 1:
+            return self.ints
+        return tuple(_element(c, den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lead(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _element(self.ints[-1], self.den)
 
     def coefficient(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return _element(self.ints[k], self.den)
         return self.field.zero
 
     def nonzero_terms(self):
@@ -86,41 +139,65 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.ints, self.den))
+
+    def _aligned(self, other):
+        # Both int vectors over their least common denominator.
+        check_same_field(self.field, other.field)
+        a, b, da, db = self.ints, other.ints, self.den, other.den
+        if da == db:
+            return a, b, da
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        if fa != 1:
+            a = [c * fa for c in a]
+        if fb != 1:
+            b = [c * fb for c in b]
+        return a, b, da * fa
 
     def __add__(self, other):
-        check_same_field(self.field, other.field)
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._aligned(other)
         if len(a) < len(b):
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
         out.extend(islice(a, len(b), None))
-        return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
+        return Polynomial._over(self.field, self.field.reduce_coeffs(out), den)
 
     def __sub__(self, other):
-        check_same_field(self.field, other.field)
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._aligned(other)
         out = [x - y for x, y in zip(a, b)]
         if len(a) >= len(b):
             out.extend(islice(a, len(b), None))
         else:
             out.extend(-c for c in islice(b, len(a), None))
-        return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
+        return Polynomial._over(self.field, self.field.reduce_coeffs(out), den)
 
     def __neg__(self):
         return Polynomial._raw(
-            self.field, self.field.reduce_coeffs([-c for c in self.coeffs])
+            self.field, self.field.reduce_coeffs([-c for c in self.ints]), self.den
         )
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
-        a, b = self.coeffs, other.coeffs
+        a, b, da, db = self.ints, other.ints, self.den, other.den
         if not a or not b:
             return Polynomial.zero(self.field)
+        # Cancel each operand's content against the other's denominator
+        # first.  By Gauss's lemma the content of the product is the product
+        # of the contents, so the result is canonical as computed.
+        if db != 1:
+            g = gcd(db, *a)
+            if g != 1:
+                a, db = [c // g for c in a], db // g
+        if da != 1:
+            g = gcd(da, *b)
+            if g != 1:
+                b, da = [c // g for c in b], da // g
         # Run the outer loop over the operand with fewer nonzero terms, so
         # sparse-by-dense products (the common large case here) cost
         # O(nnz * deg) instead of O(deg^2), and sparse-by-sparse ones (the
@@ -128,7 +205,7 @@ class Polynomial:
         nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
         if nnz_a > nnz_b:
             a, b, nnz_b = b, a, nnz_a
-        out = [self.field.zero] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         terms = [(i, a[i]) for i in compress(range(len(a)), a)]
         nb = len(b)
         if 2 * nnz_b < nb:
@@ -141,14 +218,18 @@ class Polynomial:
                 out[i : i + nb] = [
                     o + ca * cb if cb else o for o, cb in zip(islice(out, i, i + nb), b)
                 ]
-        return Polynomial._raw(self.field, self.field.reduce_coeffs(out))
+        return Polynomial._raw(self.field, self.field.reduce_coeffs(out), da * db)
 
     def scale(self, scalar):
-        scalar = self.field.coerce(scalar)
+        field = self.field
+        scalar = field.coerce(scalar)
         if not scalar:
-            return Polynomial.zero(self.field)
-        return Polynomial._raw(
-            self.field, self.field.reduce_coeffs([scalar * c for c in self.coeffs])
+            return Polynomial.zero(field)
+        if field.characteristic:
+            return Polynomial._raw(field, field.reduce_coeffs([scalar * c for c in self.ints]))
+        num = scalar.numerator
+        return Polynomial._over(
+            field, [num * c for c in self.ints], self.den * scalar.denominator
         )
 
     def shift(self, k: int):
@@ -157,29 +238,18 @@ class Polynomial:
             raise ValueError("shift exponent must be nonnegative")
         if self.is_zero:
             return self
-        return Polynomial._raw(self.field, (self.field.zero,) * k + self.coeffs)
+        return Polynomial._raw(self.field, (0,) * k + self.ints, self.den)
 
     def __divmod__(self, other):
         check_same_field(self.field, other.field)
         if other.is_zero:
             raise ZeroDivisionError("zero divisor")
         field = self.field
-        db = other.degree
-        if self.degree < db:
+        if self.degree < other.degree:
             return Polynomial.zero(field), self
-        rem = list(self.coeffs)
-        blead = other.lead
-        support = [(i, c) for i, c in enumerate(other.coeffs[:-1]) if c]
-        quot = [field.zero] * (len(rem) - db)
-        for sh in range(len(quot) - 1, -1, -1):
-            top = rem[sh + db]
-            if top:
-                q = field.div(top, blead)
-                quot[sh] = q
-                rem[sh + db] = field.zero
-                for i, c in support:
-                    rem[i + sh] = field.reduce(rem[i + sh] - q * c)
-        return Polynomial._raw(field, quot), Polynomial._raw(field, rem[:db])
+        if field.characteristic:
+            return _divmod_gfp(self, other)
+        return _pseudo_divmod(self, other)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -188,20 +258,25 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def evaluate(self, x):
-        x = self.field.coerce(x)
-        if x == self.field.one:
-            return self.field.reduce(sum(self.coeffs))
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = self.field.reduce(acc * x + c)
-        return acc
+        field = self.field
+        x = field.coerce(x)
+        if x == field.one:
+            acc = field.reduce(sum(self.ints))
+        else:
+            acc = field.zero
+            for c in reversed(self.ints):
+                acc = field.reduce(acc * x + c)
+        return _element(acc, self.den)
 
     def monic(self):
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        if self.lead == self.field.one:
+        lc = self.ints[-1]
+        if lc == self.den:
             return self
-        return self.scale(self.field.invert(self.lead))
+        if self.field.characteristic:
+            return self.scale(self.field.invert(lc))
+        return Polynomial._over(self.field, self.ints, lc)
 
     def __str__(self):
         return format_poly(self)
@@ -210,11 +285,105 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)!r})"
 
 
+def _divmod_gfp(a: Polynomial, b: Polynomial):
+    """Long division over GF(p), one field division per quotient digit."""
+    field = a.field
+    db = b.degree
+    rem = list(a.ints)
+    blead = b.ints[-1]
+    support = [(i, c) for i, c in enumerate(b.ints[:-1]) if c]
+    quot = [0] * (len(rem) - db)
+    for sh in range(len(quot) - 1, -1, -1):
+        top = rem[sh + db]
+        if top:
+            q = field.div(top, blead)
+            quot[sh] = q
+            rem[sh + db] = 0
+            for i, c in support:
+                rem[i + sh] = field.reduce(rem[i + sh] - q * c)
+    return Polynomial._raw(field, quot), Polynomial._raw(field, rem[:db])
+
+
+def _pseudo_divmod(a: Polynomial, b: Polynomial):
+    """Division over Q on the int vectors: pseudo-division by the divisor's
+    primitive part, then one normalisation each for q and r.
+
+    With a = A/da and b = (c/db) P, where c is the content of b's ints and
+    P is primitive with leading coefficient lc, lc^(delta+1) A = Q' P + R'
+    with exact int quotient digits.  Then q = Q' db / (da s c) and
+    r = R' / (da s), where s = lc^(delta+1), or 1 when lc = +-1 (as for the
+    monic approximant denominators and any scalar multiple of them).  Each
+    digit touches only the divisor's nonzero support, so the cost is
+    O(delta * nnz(b)) int operations.
+    """
+    field = a.field
+    c = gcd(*b.ints)
+    B = b.ints if c == 1 else [x // c for x in b.ints]
+    db = len(B) - 1
+    lc = B[-1]
+    delta = len(a.ints) - 1 - db
+    unit = lc == 1 or lc == -1
+    s = 1 if unit else lc ** (delta + 1)
+    rem = list(a.ints) if s == 1 else [x * s for x in a.ints]
+    quot = [0] * (delta + 1)
+    support = [(i, x) for i, x in enumerate(islice(B, db)) if x]
+    dense = 2 * len(support) >= db
+    for sh in range(delta, -1, -1):
+        top = rem[sh + db]
+        if top:
+            q = top * lc if unit else top // lc
+            quot[sh] = q
+            if dense:
+                rem[sh : sh + db] = [
+                    r - q * x for r, x in zip(islice(rem, sh, sh + db), B)
+                ]
+            else:
+                for i, x in support:
+                    rem[i + sh] -= q * x
+    rden = a.den * s
+    g = gcd(b.den, rden * c)
+    quotient = Polynomial._over(field, quot, rden * c // g)
+    if b.den != g:
+        # gcd(b.den / g, rden c / g) = 1, so the product stays canonical.
+        m = b.den // g
+        quotient = Polynomial._raw(field, [x * m for x in quotient.ints], quotient.den)
+    return quotient, Polynomial._over(field, rem[:db], rden)
+
+
+# The prime of the coprimality test in poly_gcd: the Mersenne prime 2^61 - 1.
+GCD_PRIME = 2**61 - 1
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor.
+
+    Over Q, coprime inputs (the common case) are recognised mod the prime
+    P = GCD_PRIME first.  When P divides neither leading coefficient and the
+    GF(P) gcd of the reduced int vectors is 1, the Q gcd is 1: the primitive
+    gcd G over Z divides both int vectors, P does not divide its leading
+    coefficient, so G mod P has G's degree and divides both reductions.
+    Otherwise the Euclidean algorithm runs over Q.
+    """
     check_same_field(a.field, b.field)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined")
+    if not (a.field.characteristic or a.is_zero or b.is_zero) and _coprime_mod_prime(a, b):
+        return Polynomial.one(a.field)
+    return _euclid_gcd(a, b)
+
+
+def _coprime_mod_prime(a: Polynomial, b: Polynomial) -> bool:
+    p = GCD_PRIME
+    if a.ints[-1] % p == 0 or b.ints[-1] % p == 0:
+        return False
+    field = GF(p)
+    am = Polynomial._raw(field, [c % p for c in a.ints])
+    bm = Polynomial._raw(field, [c % p for c in b.ints])
+    return _euclid_gcd(am, bm).degree == 0
+
+
+def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by the plain Euclidean algorithm (not both zero)."""
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
@@ -427,10 +596,37 @@ class _Parser:
 # expansion this package can finish; a larger one fails before squaring.
 MAX_POWER_DEGREE = 10**6
 
+# Highest estimated cost of expanding a power, in 64-bit word products:
+# about a second of schoolbook squaring on one core.
+MAX_POWER_COST = 5 * 10**8
+
+
+def _power_cost(value: RationalFunction, k: int) -> int:
+    """Estimated cost of the last squaring of value^k (k >= 0): n^2 products
+    of w-word coefficients at w^2 + 50 word products each, the 50 standing
+    for the interpreter's cost per product.  n bounds the result's terms,
+    w its coefficient size: k times the base's coefficient bits, plus the
+    multinomial growth, over Q; the residue size over GF(p)."""
+    polys = (value.num, value.den)
+    terms = max(len(p.ints) - p.ints.count(0) for p in polys)
+    degree = max(p.degree for p in polys)
+    n = min(k * degree + 1, comb(k + terms - 1, terms - 1))
+    if value.field.characteristic:
+        bits = value.field.characteristic.bit_length()
+    else:
+        size = max(max(max(map(abs, p.ints), default=0), p.den).bit_length() for p in polys)
+        bits = k * (size - 1 + (terms - 1).bit_length()) + 1
+    w = 1 + bits // 64
+    return n * n * (w * w + 50)
+
 
 def _rf_pow(value: RationalFunction, k: int) -> RationalFunction:
     if abs(k) * max(value.num.degree, value.den.degree) > MAX_POWER_DEGREE:
         raise ValueError(f"power of degree above {MAX_POWER_DEGREE} in expression")
+    if _power_cost(value, abs(k)) > MAX_POWER_COST:
+        raise ValueError(
+            f"power above the cost budget of {MAX_POWER_COST} word products in expression"
+        )
     if k < 0:
         return _rf_pow(value.invert(), -k)
     result = RationalFunction.from_poly(Polynomial.one(value.field))

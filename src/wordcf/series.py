@@ -202,16 +202,6 @@ class LaurentSeries:
             field, -self.top, v, -2 * self.top + self.known_down
         )
 
-    def polynomial_part(self) -> Polynomial:
-        """Sum of the terms with nonnegative exponent."""
-        if self.known_down > 0:
-            raise PrecisionError("precision exhausted")
-        if self.top < 0:
-            return Polynomial.zero(self.field)
-        return Polynomial._raw(
-            self.field, tuple(reversed(self.coeffs[: self.top + 1]))
-        )
-
     def __str__(self):
         fmt = self.field.format_scalar
         terms = [

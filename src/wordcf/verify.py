@@ -382,6 +382,11 @@ def quartic_fixed_point_step(x: LaurentSeries) -> LaurentSeries:
     return ((x4 + x2 + one)).shift(-1)
 
 
+# Deepest quartic lift, ten times the 10^5 digits the certificate aims at;
+# a deeper request fails before lifting.
+MAX_QUARTIC_PREC = 10**6
+
+
 def quartic_root(p: int, prec: int) -> LaurentSeries:
     """The unique small root of x^4 + x^2 - T x + 1 over GF(p), exact on the
     top ``prec`` digits.
@@ -395,6 +400,8 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     field = GF(p)
     if prec < 1:
         raise ValueError("prec must be at least 1")
+    if prec > MAX_QUARTIC_PREC:
+        raise ValueError(f"precision {prec} is above the budget of {MAX_QUARTIC_PREC} digits")
     # Seed T^-1 agrees with the root down to exponent -2.
     x = LaurentSeries(field, -1, [field.one, field.zero], -2)
     depth = 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable
 
 from .fields import QQ
@@ -187,12 +188,18 @@ def word_poly(w: str, field=QQ, alphabet=(1, 2)) -> Polynomial:
     a, b = alphabet
     if a == b:
         raise ValueError("alphabet letters must be distinct")
-    letter = {"1": field.coerce(a), "2": field.coerce(b)}
+    a, b = field.coerce(a), field.coerce(b)
+    # Letters over one common denominator (1 unless a letter is a Fraction).
+    den = lcm(a.denominator, b.denominator)
+    letter = {
+        "1": a.numerator * (den // a.denominator),
+        "2": b.numerator * (den // b.denominator),
+    }
     try:
         coeffs = list(map(letter.__getitem__, reversed(w)))
     except KeyError as exc:
         raise ValueError("word symbols must be '1' or '2'") from exc
-    return Polynomial._raw(field, coeffs)
+    return Polynomial._over(field, coeffs, den)
 
 
 def word_fraction(w: str, field=QQ) -> RationalFunction:
@@ -203,10 +210,10 @@ def word_fraction(w: str, field=QQ) -> RationalFunction:
         return RationalFunction(num, Polynomial.one(field))
     # The denominator is the monomial T^k: reduce by the shared power of T.
     val = 0
-    while not num.coeffs[val]:
+    while not num.ints[val]:
         val += 1
     common = min(val, k)
-    num = Polynomial._raw(field, num.coeffs[common:])
+    num = Polynomial._raw(field, num.ints[common:], num.den)
     return RationalFunction._from_coprime(
         num, Polynomial.monomial(field, field.one, k - common)
     )

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from wordcf.fields import QQ
-from wordcf.poly import Polynomial, RationalFunction, parse_poly, poly_gcd
+from wordcf.poly import Polynomial, RationalFunction, _euclid_gcd, parse_poly, poly_gcd
 from wordcf.cf import cf_of_fraction, convergents, eval_cf, measure_terms
 from wordcf.words import (
     length_closed_form_ok,
@@ -187,6 +187,9 @@ def _timed(fn):
 def test_gcd_argument_cross_checked_by_euclid():
     # Supplementary: the divisibility argument used at scale agrees with the
     # literal Euclidean gcd where that is affordable.
-    for n in (1, 2, 3):
-        assert poly_gcd(verify.tail_periodic_pair(n).r, verify.tail_periodic_pair(n).s).degree == 0
-        assert poly_gcd(verify.pure_periodic_pair(n).r, verify.pure_periodic_pair(n).s).degree == 0
+    # Both the gcd with its modular coprimality test and the plain Euclidean
+    # algorithm over Q, up to depth 10 (about a second).
+    for n in range(1, 11):
+        for pair in (verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)):
+            assert poly_gcd(pair.r, pair.s).degree == 0
+            assert _euclid_gcd(pair.r, pair.s).degree == 0

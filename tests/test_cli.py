@@ -187,6 +187,8 @@ def test_unknown_command_is_usage_error(capsys):
         ["verify", "all", "--max-n", "1000000000"],
         ["verify", "lemma1", "--max-n", "30"],
         ["verify", "theorem3", "--max-n", "30"],
+        ["cf", "--ratfunc", "(T+1)^999999"],
+        ["quartic", "--p", "3", "--prec", "1000000000", "--k", "10"],
     ],
 )
 def test_oversized_input_fails_fast(capsys, argv):

@@ -140,6 +140,17 @@ def test_power_over_degree_budget_fails_before_squaring(monkeypatch):
             parse_ratfunc(text)
 
 
+def test_power_over_cost_budget_fails_before_squaring():
+    with pytest.raises(ValueError, match="cost budget"):
+        parse_ratfunc("(T+1)^999999")
+    with pytest.raises(ValueError, match="cost budget"):
+        parse_ratfunc("(T+1)^4000", GF(10007))
+    # Monomials and sparse bases stay cheap at any degree within budget.
+    assert parse_poly("T^9000") == Polynomial.monomial(QQ, 1, 9000)
+    assert parse_poly("(T^1000+1)^10").evaluate(1) == 2**10
+    assert parse_poly("(T+1)^500").evaluate(1) == 2**500
+
+
 def test_parse_rejects_garbage():
     from wordcf.poly import ParseError
 
@@ -176,8 +187,10 @@ def test_evaluate_is_exact():
 def _schoolbook_mul(a, b):
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a.coeffs and b.coeffs else []
     for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in enumerate(b.coeffs):
+                if cb:
+                    out[i + j] += ca * cb
     return Polynomial(a.field, out)
 
 

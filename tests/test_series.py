@@ -41,7 +41,7 @@ def test_polynomial_passthrough():
     assert s.top == 1
     assert s.coeffs == (1, 0, 0)
     assert s.known_down == -1
-    assert s.polynomial_part() == parse_poly("T")
+    assert (s.coefficient(1), s.coefficient(0)) == (1, 0)
 
 
 def test_invert_first_quotient():
@@ -52,7 +52,7 @@ def test_invert_first_quotient():
     assert inv.top == 1
     assert inv.known_down == -1
     assert inv.coeffs == (1, -2, 2)
-    assert inv.polynomial_part() == parse_poly("T-2")
+    assert (inv.coefficient(1), inv.coefficient(0)) == (1, -2)
 
 
 @given(top=tops, cs=coeffs)
@@ -142,13 +142,6 @@ def test_gfp_mul_by_inverse_is_one_to_declared_precision(field, length):
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         LaurentSeries.zero(QQ, -3).invert()
-
-
-def test_polynomial_part_cases():
-    assert series(-1, [1, 0, 1]).polynomial_part().is_zero
-    assert series(0, [3]).polynomial_part() == parse_poly("3")
-    with pytest.raises(PrecisionError, match="precision exhausted"):
-        LaurentSeries(QQ, 3, [1, 2], known_down=2).polynomial_part()
 
 
 @given(top=tops, cs=coeffs, top2=tops, cs2=coeffs)
