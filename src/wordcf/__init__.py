@@ -6,70 +6,103 @@ continued fractions with certified precision, and mechanically verifies the
 approximation laws, the degree structure of the expansion, the measure
 identity, the conjectured quotient shapes, and the quartic-root origin of the
 word over GF(3).  Everything is exact; there is no floating point anywhere.
+
+``import wordcf`` loads no submodule: each public name below is looked up in
+its submodule on first use (PEP 562), so a command pays only for the modules
+it runs.
 """
 
-from .fields import GF, QQ, PrimeField, RationalField
-from .poly import (
-    ParseError,
-    Polynomial,
-    RationalFunction,
-    format_poly,
-    parse_poly,
-    parse_ratfunc,
-    poly_gcd,
-)
-from .series import LaurentSeries, PrecisionError, series_of_fraction
-from .words import (
-    AuxWords,
-    aux_words,
-    block,
-    check_identities,
-    first_difference_rank,
-    first_letters_differ,
-    last_letters_differ,
-    length_closed_form_ok,
-    lengths,
-    prefix,
-    residual_suffixes,
-    tail_periodic_symbols,
-    theta_series,
-    word_fraction,
-    word_poly,
-)
-from .cf import (
-    ContinuedFraction,
-    ConvergentTable,
-    MeasureTerm,
-    SeriesExpansion,
-    approx_order,
-    cf_of_fraction,
-    cf_of_series,
-    convergents,
-    eval_cf,
-    measure_terms,
-)
-from .verify import (
-    AlphabetVariant,
-    ApproximantPair,
-    CheckReport,
-    ConjectureOutcome,
-    ConjectureRow,
-    QuarticExpansion,
-    alphabet_variant,
-    check_conjecture,
-    check_corollary,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_theorem3,
-    conjecture_row,
-    pure_periodic_pair,
-    quartic_expansion,
-    quartic_lambda_check,
-    quartic_root,
-    run_suite,
-    tail_periodic_pair,
-    theta_expansion,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("GF", "QQ", "PrimeField", "RationalField"), "fields"),
+    **dict.fromkeys(
+        (
+            "ParseError",
+            "Polynomial",
+            "RationalFunction",
+            "format_poly",
+            "parse_poly",
+            "parse_ratfunc",
+            "poly_gcd",
+        ),
+        "poly",
+    ),
+    **dict.fromkeys(("LaurentSeries", "PrecisionError", "series_of_fraction"), "series"),
+    **dict.fromkeys(
+        (
+            "AuxWords",
+            "aux_words",
+            "block",
+            "check_identities",
+            "first_difference_rank",
+            "first_letters_differ",
+            "last_letters_differ",
+            "length_closed_form_ok",
+            "lengths",
+            "prefix",
+            "residual_suffixes",
+            "tail_periodic_symbols",
+            "theta_series",
+            "word_fraction",
+            "word_poly",
+        ),
+        "words",
+    ),
+    **dict.fromkeys(
+        (
+            "ContinuedFraction",
+            "ConvergentTable",
+            "MeasureTerm",
+            "SeriesExpansion",
+            "approx_order",
+            "cf_of_fraction",
+            "cf_of_series",
+            "convergents",
+            "eval_cf",
+            "measure_terms",
+        ),
+        "cf",
+    ),
+    **dict.fromkeys(
+        (
+            "AlphabetVariant",
+            "ApproximantPair",
+            "CheckReport",
+            "ConjectureOutcome",
+            "ConjectureRow",
+            "QuarticExpansion",
+            "alphabet_variant",
+            "check_conjecture",
+            "check_corollary",
+            "check_lemma1",
+            "check_lemma2",
+            "check_lemma3",
+            "check_theorem3",
+            "conjecture_row",
+            "pure_periodic_pair",
+            "quartic_expansion",
+            "quartic_lambda_check",
+            "quartic_root",
+            "run_suite",
+            "tail_periodic_pair",
+            "theta_expansion",
+        ),
+        "verify",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    # Not cached in the package namespace, so a name rebound in its
+    # submodule (as tracing wrappers do) reads the same here.
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -8,7 +8,7 @@ no floating point and no real logarithm anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fields import check_same_field
@@ -16,18 +16,26 @@ from .poly import Polynomial, RationalFunction
 from .series import LaurentSeries, PrecisionError, series_of_fraction
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """[a0; a1, a2, ...]: a0 unconstrained, all later quotients of degree >= 1."""
+class ContinuedFraction(namedtuple("ContinuedFraction", "quotients")):
+    """[a0; a1, a2, ...]: a0 unconstrained, all later quotients of degree >= 1.
 
-    quotients: tuple[Polynomial, ...]
+    ``quotients`` is a tuple of Polynomials; ``len`` counts them.
+    """
 
-    def __post_init__(self):
-        if not self.quotients:
+    __slots__ = ()
+
+    def __new__(cls, quotients):
+        if not quotients:
             raise ValueError("a continued fraction needs at least a0")
-        for q in self.quotients[1:]:
+        for q in quotients[1:]:
             if q.degree < 1:
                 raise ValueError("partial quotients beyond a0 must have degree >= 1")
+        return super().__new__(cls, quotients)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     @property
     def field(self):
@@ -49,11 +57,11 @@ class ContinuedFraction:
         return len(self.quotients)
 
 
-@dataclass(frozen=True)
-class ConvergentTable:
-    """Numerator/denominator pairs (x_n, y_n) of the truncated fractions."""
+class ConvergentTable(namedtuple("ConvergentTable", "rows")):
+    """Numerator/denominator pairs (x_n, y_n) of the truncated fractions;
+    ``len`` counts the rows."""
 
-    rows: tuple[tuple[Polynomial, Polynomial], ...]
+    __slots__ = ()
 
     def pair(self, n: int) -> tuple[Polynomial, Polynomial]:
         return self.rows[n]
@@ -111,20 +119,16 @@ def eval_cf(cf: ContinuedFraction) -> RationalFunction:
     return RationalFunction._from_coprime(x, y)
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(namedtuple("SeriesExpansion", "cf emitted precision_consumed terminated")):
     """Certified prefix of the continued fraction of a truncated series.
 
-    ``emitted`` counts the partial quotients after a0.  ``terminated`` is True
-    when the truncation itself was reached exactly (a rational series).
-    ``precision_consumed`` is 2*deg(y_emitted), the budget the certificate
-    actually used.
+    ``cf`` is the certified ContinuedFraction.  ``emitted`` counts the
+    partial quotients after a0.  ``terminated`` is True when the truncation
+    itself was reached exactly (a rational series).  ``precision_consumed``
+    is 2*deg(y_emitted), the budget the certificate actually used.
     """
 
-    cf: ContinuedFraction
-    emitted: int
-    precision_consumed: int
-    terminated: bool
+    __slots__ = ()
 
 
 def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
@@ -201,13 +205,12 @@ def approx_order(alpha: LaurentSeries, num: Polynomial, den: Polynomial) -> int:
     return -diff.top
 
 
-@dataclass(frozen=True)
-class MeasureTerm:
-    """One exact term of the irrationality-measure estimator."""
+class MeasureTerm(namedtuple("MeasureTerm", "n estimate running_max")):
+    """One exact term of the irrationality-measure estimator: ``estimate``
+    is the Fraction 2 + d_{n+1} / (d_1 + ... + d_n), ``running_max`` the
+    largest estimate up to n."""
 
-    n: int
-    estimate: Fraction  # 2 + d_{n+1} / (d_1 + ... + d_n)
-    running_max: Fraction
+    __slots__ = ()
 
 
 def measure_terms(degrees) -> list[MeasureTerm]:

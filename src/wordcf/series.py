@@ -20,6 +20,8 @@ tuple and ``top == known_down - 1``.
 
 from __future__ import annotations
 
+from operator import add
+
 from .fields import check_same_field
 from .poly import Polynomial
 
@@ -131,17 +133,20 @@ class LaurentSeries:
             self.field, self.top + k, self.coeffs, self.known_down + k
         )
 
+    def _window(self, top: int, kd: int) -> list:
+        """The digits of exponents top..kd, for top >= self.top and
+        kd >= self.known_down: zeros above self.top, then stored digits."""
+        if self.top < kd:
+            return [self.field.zero] * (top - kd + 1)
+        return [self.field.zero] * (top - self.top) + list(self.coeffs[: self.top - kd + 1])
+
     def __add__(self, other):
         check_same_field(self.field, other.field)
         kd = max(self.known_down, other.known_down)
         top = max(self.top, other.top)
         if top < kd:
             return LaurentSeries.zero(self.field, kd)
-        out = []
-        for k in range(top, kd - 1, -1):
-            a = self.coeffs[self.top - k] if self.known_down <= k <= self.top else self.field.zero
-            b = other.coeffs[other.top - k] if other.known_down <= k <= other.top else self.field.zero
-            out.append(a + b)
+        out = list(map(add, self._window(top, kd), other._window(top, kd)))
         return LaurentSeries._raw(self.field, top, self.field.reduce_coeffs(out), kd)
 
     def __sub__(self, other):

@@ -10,7 +10,7 @@ the two strings are equal, which keeps reports auditable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .fields import GF, QQ
@@ -26,18 +26,21 @@ from .cf import (
 from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """One verified claim instance; passes iff expected == actual."""
+class CheckReport(namedtuple("CheckReport", "check n expected actual passed")):
+    """One verified claim instance; passes iff expected == actual.
 
-    check: str
-    n: int
-    expected: str
-    actual: str
-    passed: bool = False
+    ``passed`` is always derived: a value given for it is ignored.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", self.expected == self.actual)
+    __slots__ = ()
+
+    def __new__(cls, check, n, expected, actual, passed=False):
+        return super().__new__(cls, check, n, expected, actual, expected == actual)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     def to_dict(self) -> dict:
         return {
@@ -49,14 +52,11 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class ApproximantPair:
-    """A rational approximant num/den to the generating series."""
+class ApproximantPair(namedtuple("ApproximantPair", "n r s kind")):
+    """A rational approximant r/s to the generating series; ``kind`` is
+    "tail-periodic" or "pure-periodic"."""
 
-    n: int
-    r: Polynomial
-    s: Polynomial
-    kind: str  # "tail-periodic" | "pure-periodic"
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,14 +274,12 @@ def check_corollary(max_n: int) -> list[CheckReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
-    """Predicted quotient quartet for block n, from the closed-form scalars."""
+class ConjectureRow(namedtuple("ConjectureRow", "n r_n lambdas predicted")):
+    """Predicted quotient quartet for block n, from the closed-form scalars:
+    ``r_n`` and the four ``lambdas`` are Fractions, ``predicted`` holds the
+    four quotient Polynomials."""
 
-    n: int
-    r_n: Fraction
-    lambdas: tuple[Fraction, Fraction, Fraction, Fraction]
-    predicted: tuple[Polynomial, Polynomial, Polynomial, Polynomial]
+    __slots__ = ()
 
 
 def _ratio_sequence(upto: int) -> list[Fraction]:
@@ -326,11 +324,10 @@ def conjecture_row(n: int) -> ConjectureRow:
     return ConjectureRow(n=n, r_n=r[n], lambdas=(lam1, lam2, lam3, lam4), predicted=predicted)
 
 
-@dataclass(frozen=True)
-class ConjectureOutcome:
-    reports: list[CheckReport]
-    rows: list[ConjectureRow]
-    findings: list[str]
+class ConjectureOutcome(namedtuple("ConjectureOutcome", "reports rows findings")):
+    """Lists of CheckReports, ConjectureRows and finding strings."""
+
+    __slots__ = ()
 
 
 def check_conjecture(max_n: int) -> ConjectureOutcome:
@@ -425,15 +422,12 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     return x
 
 
-@dataclass(frozen=True)
-class QuarticExpansion:
-    """Certified continued-fraction prefix of the quartic root."""
+class QuarticExpansion(namedtuple("QuarticExpansion", "root cf lambdas exponents monomial")):
+    """Certified continued-fraction prefix of the quartic root: the root
+    series, its ContinuedFraction, the int coefficients and exponents of the
+    quotients, and whether every certified quotient is a single term."""
 
-    root: LaurentSeries
-    cf: ContinuedFraction
-    lambdas: tuple[int, ...]
-    exponents: tuple[int, ...]
-    monomial: bool  # every certified quotient is a single term
+    __slots__ = ()
 
 
 def quartic_expansion(p: int, prec: int) -> QuarticExpansion:
@@ -486,16 +480,10 @@ def quartic_lambda_report(expansion: QuarticExpansion, count: int) -> CheckRepor
     return CheckReport("quartic", count, expected, actual)
 
 
-@dataclass(frozen=True)
-class AlphabetVariant:
+class AlphabetVariant(namedtuple("AlphabetVariant", "alphabet r s gcd coprime report")):
     """The n = 1 approximant pair rebuilt over an arbitrary letter pair."""
 
-    alphabet: tuple
-    r: Polynomial
-    s: Polynomial
-    gcd: Polynomial
-    coprime: bool
-    report: CheckReport
+    __slots__ = ()
 
 
 def alphabet_variant(a, b) -> AlphabetVariant:

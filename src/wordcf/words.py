@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from math import lcm
-from typing import Iterable
 
 from .fields import QQ
 from .poly import Polynomial, RationalFunction
@@ -98,8 +98,7 @@ def length_closed_form_ok(n: int) -> bool:
     return total[0] // 4 - 1 == length_of(n)
 
 
-@dataclass(frozen=True)
-class AuxWords:
+class AuxWords(namedtuple("AuxWords", "n u v f g h j i up")):
     """The decomposition words attached to index n.
 
     u = B(n) 2 B(n-1), v = 2 B(n); u = g + f and v = h + f with the last
@@ -108,15 +107,7 @@ class AuxWords:
     extended block u(n+1) 2.
     """
 
-    n: int
-    u: str
-    v: str
-    f: str
-    g: str
-    h: str
-    j: str
-    i: str
-    up: str
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,11 +239,10 @@ def theta_series(prec: int, field=QQ) -> LaurentSeries:
     return LaurentSeries(field, -1, map(int, prefix(prec)), -prec)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    n: int
-    status: str  # "pass" | "fail" | "skip"
+class IdentityCheck(namedtuple("IdentityCheck", "name n status")):
+    """One word identity at index n; ``status`` is "pass", "fail" or "skip"."""
+
+    __slots__ = ()
 
 
 def check_identities(n: int) -> list[IdentityCheck]:

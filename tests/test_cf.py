@@ -9,6 +9,7 @@ from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, RationalFunction, parse_poly
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.cf import (
+    ContinuedFraction,
     approx_order,
     cf_of_fraction,
     cf_of_series,
@@ -34,6 +35,19 @@ def ratfunc_pairs(max_degree):
     ).map(lambda t: (Polynomial(QQ, t[0]), Polynomial(QQ, t[1]))).filter(
         lambda t: not t[1].is_zero
     )
+
+
+def test_continued_fraction_validates_quotients():
+    cf = cf_of_fraction(parse_poly("T^3+2*T^2+T-1"), parse_poly("T^4-T^2"))
+    constant = Polynomial.one(QQ)
+    with pytest.raises(ValueError, match="at least a0"):
+        ContinuedFraction(())
+    with pytest.raises(ValueError, match="degree >= 1"):
+        ContinuedFraction((constant, constant))
+    # The record's own replace builds through the same check.
+    with pytest.raises(ValueError, match="degree >= 1"):
+        cf._replace(quotients=(*cf.quotients, constant))
+    assert cf._replace(quotients=cf.quotients) == cf and len(cf) == 5
 
 
 def test_golden_partial_quotients():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -172,6 +173,14 @@ def test_unknown_command_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1
     assert "usage error" in err
+
+
+def test_verify_choices_are_the_suite_order():
+    # The parser spells the choices out so that it need not import the
+    # suite; they must stay the suite's families, in its order, plus "all".
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (selection,) = [a for a in sub.choices["verify"]._actions if a.dest == "selection"]
+    assert tuple(selection.choices) == (*verify.SUITE_ORDER, "all")
 
 
 @pytest.mark.parametrize(

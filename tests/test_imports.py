@@ -1,0 +1,107 @@
+"""Start-up cost: what ``import wordcf`` and each subcommand load, and the
+lazy package namespace."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import wordcf
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
+
+# Run in a fresh interpreter; the last stdout line lists the modules the
+# statement loaded on top of what interpreter start-up had loaded.
+_CHILD = """
+import sys
+before = set(sys.modules)
+{statement}
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def loaded_by(statement):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD.format(statement=statement)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def loaded_by_cli(*argv):
+    return loaded_by(f"from wordcf import cli; cli.main({list(argv)!r})")
+
+
+def test_bare_import_loads_no_submodule():
+    assert not {m for m in loaded_by("import wordcf") if m.startswith("wordcf.")}
+
+
+RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["cf", "--ratfunc", RATFUNC], {"wordcf.verify", "wordcf.words"}),
+        (["convergents", "--ratfunc", RATFUNC], {"wordcf.verify", "wordcf.words"}),
+        (["cf", "--prec", "20"], {"wordcf.verify"}),
+        (["convergents", "--prec", "20", "--field", "3"], {"wordcf.verify"}),
+        (["word", "--n", "3"], {"wordcf.verify", "wordcf.cf"}),
+        (["theta", "--prec", "5"], {"wordcf.verify", "wordcf.cf"}),
+        (["measure", "--max-n", "3"], set()),
+        (["verify", "lemma1", "--max-n", "2"], set()),
+        (["quartic", "--prec", "40", "--k", "5"], set()),
+        (["alphabet", "--pair", "1,-1"], set()),
+        (["verify", "no-such-check"], {"wordcf.verify"}),
+    ],
+)
+def test_text_commands_load_only_what_they_run(argv, absent):
+    loaded = loaded_by_cli(*argv)
+    assert not loaded & {"dataclasses", "inspect", "json", *absent}
+
+
+@pytest.mark.parametrize("argv", [["word", "--n", "2"], ["cf", "--ratfunc", RATFUNC]])
+def test_json_format_loads_json(argv):
+    loaded = loaded_by_cli(*argv, "--format", "json")
+    assert "json" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_every_export_is_its_submodule_object():
+    for name in wordcf.__all__:
+        module = importlib.import_module(f"wordcf.{wordcf._EXPORTS[name]}")
+        assert getattr(wordcf, name) is getattr(module, name), name
+
+
+def test_export_follows_a_rebound_submodule_name(monkeypatch):
+    from wordcf import cf
+
+    assert wordcf.cf_of_fraction is cf.cf_of_fraction
+    monkeypatch.setattr(cf, "cf_of_fraction", len)
+    assert wordcf.cf_of_fraction is len
+
+
+def test_star_and_submodule_imports():
+    namespace = {}
+    exec("from wordcf import *", namespace)
+    assert set(wordcf.__all__) <= set(namespace)
+    from wordcf import cf, cli, verify
+
+    assert (cf, cli, verify) == tuple(sys.modules[f"wordcf.{m}"] for m in ("cf", "cli", "verify"))
+    assert wordcf.__version__
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wordcf.no_such_name
+    with pytest.raises(ImportError):
+        from wordcf import no_such_name  # noqa: F401

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wordcf.fields import GF, QQ
@@ -59,6 +59,43 @@ def test_invert_first_quotient():
 def test_add_negate_is_zero(top, cs):
     x = series(top, cs)
     assert (x + (-x)).is_zero
+
+
+def _add_per_exponent(x, y):
+    """Reference sum: one digit per exponent, each operand's window tested."""
+    field = x.field
+    kd = max(x.known_down, y.known_down)
+    top = max(x.top, y.top)
+    if top < kd:
+        return LaurentSeries.zero(field, kd)
+    out = []
+    for k in range(top, kd - 1, -1):
+        a = x.coeffs[x.top - k] if x.known_down <= k <= x.top else field.zero
+        b = y.coeffs[y.top - k] if y.known_down <= k <= y.top else field.zero
+        out.append(a + b)
+    return LaurentSeries._raw(field, top, field.reduce_coeffs(out), kd)
+
+
+digits = st.lists(
+    st.integers(min_value=-9, max_value=9) | st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@given(top=tops, cs=digits, top2=tops, cs2=digits)
+@example(top=6, cs=[1, 2], top2=-3, cs2=[3, 4])  # y entirely below x's window
+@example(top=6, cs=[1] + [0] * 8, top2=-1, cs2=[3])  # zero gap between the digits
+@example(top=0, cs=[], top2=2, cs2=[0, 0])  # two zero series
+def test_add_matches_per_exponent_loop(field, top, cs, top2, cs2):
+    if field is not QQ:
+        cs, cs2 = [int(c) for c in cs], [int(c) for c in cs2]
+    x, y = LaurentSeries(field, top, cs), LaurentSeries(field, top2, cs2)
+    for a, b in ((x, y), (y, x), (x, -x), (x, x.scale(2)), (y, LaurentSeries.zero(field, top))):
+        got, want = a + b, _add_per_exponent(a, b)
+        assert (got.top, got.coeffs, got.known_down) == (want.top, want.coeffs, want.known_down)
+        assert list(map(type, got.coeffs)) == list(map(type, want.coeffs))
+    assert (x + -x).is_zero and (x + -x).known_down == x.known_down
 
 
 # Kronecker slots from one byte (GF(2)) to wider than a machine word

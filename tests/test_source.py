@@ -37,8 +37,8 @@ def test_no_floating_point():
     assert SOURCES and not found, found
 
 
-def test_runtime_imports_are_stdlib_only():
-    found = []
+def _imports():
+    """(path, line, top-level module name) of every absolute import."""
     for path, node in _nodes():
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -46,9 +46,23 @@ def test_runtime_imports_are_stdlib_only():
             names = [node.module]
         else:
             continue
-        found += [
-            f"{path.name}:{node.lineno}:{name}"
-            for name in names
-            if name.partition(".")[0] not in sys.stdlib_module_names
-        ]
+        for name in names:
+            yield path, node.lineno, name.partition(".")[0]
+
+
+def test_runtime_imports_are_stdlib_only():
+    found = [
+        f"{path.name}:{line}:{name}"
+        for path, line, name in _imports()
+        if name not in sys.stdlib_module_names
+    ]
+    assert SOURCES and not found, found
+
+
+def test_no_start_up_heavy_imports():
+    # Every job is a fresh process that compiles what it imports:
+    # dataclasses pulls in inspect, several milliseconds of each job, and
+    # annotations need no typing (collections.abc has the abstract types).
+    banned = {"dataclasses", "inspect", "typing"}
+    found = [f"{path.name}:{line}:{name}" for path, line, name in _imports() if name in banned]
     assert SOURCES and not found, found

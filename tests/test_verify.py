@@ -1,4 +1,3 @@
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -150,7 +149,7 @@ class TestTheorem3:
             pair = real(n, *args, **kwargs)
             if n != 1:
                 return pair
-            return dataclasses.replace(pair, r=pair.r * t_plus_1, s=pair.s * t_plus_1)
+            return pair._replace(r=pair.r * t_plus_1, s=pair.s * t_plus_1)
 
         monkeypatch.setattr(verify, "tail_periodic_pair", non_reduced_at_one)
         reports = verify.check_theorem3(2)
@@ -378,3 +377,5 @@ class TestSuite:
         rep = verify.CheckReport("x", 1, "a", "a")
         assert rep.passed
         assert rep.to_dict()["pass"] is True
+        assert verify.CheckReport("x", 1, "a", "b", passed=True).passed is False
+        assert rep._replace(actual="b").passed is False
