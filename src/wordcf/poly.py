@@ -26,6 +26,7 @@ from fractions import Fraction
 from itertools import compress, islice
 from math import comb, gcd, lcm
 
+from . import _kernel
 from .fields import GF, QQ, check_same_field
 
 
@@ -187,7 +188,11 @@ class Polynomial:
         a, b, da, db = self.ints, other.ints, self.den, other.den
         if not a or not b:
             return Polynomial.zero(self.field)
-        # Cancel each operand's content against the other's denominator
+        p = self.field.characteristic
+        if p:
+            # Over GF(p): one Kronecker product in the shared kernel.
+            return Polynomial._raw(self.field, _kernel.product(a, b, len(a) + len(b) - 1, p))
+        # Over Q: cancel each operand's content against the other's denominator
         # first.  By Gauss's lemma the content of the product is the product
         # of the contents, so the result is canonical as computed.
         if db != 1:
@@ -218,7 +223,7 @@ class Polynomial:
                 out[i : i + nb] = [
                     o + ca * cb if cb else o for o, cb in zip(islice(out, i, i + nb), b)
                 ]
-        return Polynomial._raw(self.field, self.field.reduce_coeffs(out), da * db)
+        return Polynomial._raw(self.field, out, da * db)
 
     def scale(self, scalar):
         field = self.field
@@ -247,8 +252,10 @@ class Polynomial:
         field = self.field
         if self.degree < other.degree:
             return Polynomial.zero(field), self
-        if field.characteristic:
-            return _divmod_gfp(self, other)
+        p = field.characteristic
+        if p:
+            q, r = _divmod_gfp(self.ints, other.ints, p)
+            return Polynomial._raw(field, q), Polynomial._raw(field, r)
         return _pseudo_divmod(self, other)
 
     def __floordiv__(self, other):
@@ -285,23 +292,35 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)!r})"
 
 
-def _divmod_gfp(a: Polynomial, b: Polynomial):
-    """Long division over GF(p), one field division per quotient digit."""
-    field = a.field
-    db = b.degree
-    rem = list(a.ints)
-    blead = b.ints[-1]
-    support = [(i, c) for i, c in enumerate(b.ints[:-1]) if c]
+def _divmod_gfp(a, b, p: int):
+    """Long division of residue lists over GF(p): a = q b + r, deg r < deg b.
+
+    ``a`` and ``b`` are ascending residue lists with b[-1] != 0 and
+    len a >= len b.  Returns the lists q (len a - len b + 1 entries) and r
+    (len b - 1 entries, possibly with zeros on top).  The remainder is kept
+    unreduced while the quotient digits are found, and each digit reduces
+    only the one entry it reads, so the loop makes no call per entry.  A
+    dense divisor updates its window with one slice, a sparse one touches
+    only its nonzero support.
+    """
+    db = len(b) - 1
+    rem = list(a)
+    inv = pow(b[-1], -1, p)
     quot = [0] * (len(rem) - db)
+    low = b[:db]
+    support = [(i, c) for i, c in enumerate(low) if c]
+    dense = 2 * len(support) >= db
     for sh in range(len(quot) - 1, -1, -1):
-        top = rem[sh + db]
+        top = rem[sh + db] % p
         if top:
-            q = field.div(top, blead)
+            q = top * inv % p
             quot[sh] = q
-            rem[sh + db] = 0
-            for i, c in support:
-                rem[i + sh] = field.reduce(rem[i + sh] - q * c)
-    return Polynomial._raw(field, quot), Polynomial._raw(field, rem[:db])
+            if dense:
+                rem[sh : sh + db] = [r - q * c for r, c in zip(islice(rem, sh, sh + db), low)]
+            else:
+                for i, c in support:
+                    rem[i + sh] -= q * c
+    return quot, [r % p for r in islice(rem, db)]
 
 
 def _pseudo_divmod(a: Polynomial, b: Polynomial):
@@ -449,6 +468,9 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other):
+        if self.den.degree == 0 and other.den.degree == 0:
+            # Two polynomials (a monic constant denominator is 1): no gcd.
+            return RationalFunction._from_coprime(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -460,6 +482,8 @@ class RationalFunction:
         return RationalFunction._from_coprime(-self.num, self.den)
 
     def __mul__(self, other):
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RationalFunction._from_coprime(self.num * other.num, self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from operator import add
 
+from . import _kernel
 from .fields import check_same_field
 from .poly import Polynomial
 
@@ -225,29 +226,15 @@ class LaurentSeries:
 def _mul_trunc(a, b, n: int, field):
     """First n digits of the product of digit sequences a and b.
 
-    Over GF(p) this is one Kronecker-substitution product: each operand's
-    residues (which must lie in [0, p)) are packed into a Python int with
-    one byte-aligned slot per digit, the two ints are multiplied once by
-    CPython's Karatsuba bigint product, and the low n slots are unpacked
-    and reduced mod p.  A slot holds min(len a, len b, n) * (p-1)^2, the
-    largest coefficient of the product of the first n digits, so no carry
-    crosses a slot.  The cost is that of one bigint product, O(n^1.58)
-    word operations in C, instead of n^2/2 digit products in Python.
+    Over GF(p) the residues (which must lie in [0, p)) go through the
+    Kronecker-substitution kernel (``_kernel.product``), one bigint product.
     Over Q the schoolbook convolution is used.  Digits at or beyond
     len a + len b - 1 are zero.
     """
     p = field.characteristic
     if not p:
         return _mul_trunc_schoolbook(a, b, n, field)
-    a, b = a[:n], b[:n]
-    if not a or not b:
-        return [field.zero] * max(n, 0)
-    full = len(a) + len(b) - 1
-    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    prod = _pack(a, width) * _pack(b, width)
-    m = min(n, full)
-    slots = prod.to_bytes(full * width, "little")[: m * width]
-    return _unpack(slots, width, p) + [field.zero] * (n - m)
+    return _kernel.product(a, b, n, p)
 
 
 def _mul_trunc_schoolbook(a, b, n: int, field):
@@ -259,21 +246,6 @@ def _mul_trunc_schoolbook(a, b, n: int, field):
         hi = min(k, la - 1)
         out.append(sum(a[i] * b[k - i] for i in range(lo, hi + 1)))
     return field.reduce_coeffs(out)
-
-
-def _pack(digits, width: int) -> int:
-    """sum digits[i] * 256^(width*i), one width-byte slot per digit."""
-    return int.from_bytes(
-        b"".join(c.to_bytes(width, "little") for c in digits), "little"
-    )
-
-
-def _unpack(slots: bytes, width: int, p: int):
-    """The unsigned ints of each width-byte slot of ``slots``, reduced mod p."""
-    return [
-        int.from_bytes(slots[i : i + width], "little") % p
-        for i in range(0, len(slots), width)
-    ]
 
 
 def series_of_fraction(num: Polynomial, den: Polynomial, prec: int) -> LaurentSeries:

@@ -388,11 +388,13 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     """The unique small root of x^4 + x^2 - T x + 1 over GF(p), exact on the
     top ``prec`` digits.
 
-    Each Newton step doubles the agreement depth, so the total cost stays
-    proportional to a few multiplications at full precision.  Each series
-    product over GF(p) is one Karatsuba bigint product (Kronecker
-    substitution in ``series._mul_trunc``), so precision 10^4 takes well
-    under a second.  The residual is re-checked before returning.
+    Each Newton step doubles the agreement depth, along the depths prec,
+    prec // 2, prec // 4, ... taken from the bottom up, so the last step
+    lands on prec and the total cost stays proportional to a few
+    multiplications at full precision.  Each series product over GF(p) is
+    one Karatsuba bigint product (Kronecker substitution in
+    ``series._mul_trunc``), so precision 10^5 takes a few seconds.  The
+    residual is re-checked before returning.
     """
     field = GF(p)
     if prec < 1:
@@ -401,21 +403,26 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
         raise ValueError(f"precision {prec} is above the budget of {MAX_QUARTIC_PREC} digits")
     # Seed T^-1 agrees with the root down to exponent -2.
     x = LaurentSeries(field, -1, [field.one, field.zero], -2)
-    depth = 2
+    targets = []
+    target = prec
+    while target > 2:
+        targets.append(target)
+        target //= 2
     t_poly = Polynomial.t(field)
-    while depth < prec:
-        target = min(2 * depth + 1, prec)
+    for target in reversed(targets):
         xw = x.padded(-target)
         x2 = (xw * xw).truncate(-target)
         x4 = (x2 * x2).truncate(-target)
-        x3 = (x2 * xw).truncate(-target)
+        # x is exact down to at least -(target // 2), so f(x) is
+        # O(T^-(target // 2)) and f'(x) is needed only to x's own relative
+        # precision: build it from x, not from the padded xw.
+        x3 = x2.truncate(x.known_down - 1) * x
         one = LaurentSeries.from_poly(Polynomial.one(field), -target)
         t_series = LaurentSeries.from_poly(t_poly, -target)
         fx = x4 + x2 - xw.shift(1) + one
-        fpx = x3.scale(4) + xw.scale(2) - t_series
+        fpx = x3.scale(4) + x.scale(2) - t_series
         delta = fx * fpx.invert()
         x = (xw - delta).truncate(-target)
-        depth = target
     x = x.truncate(-prec)
     if not quartic_residual(x).is_zero:
         raise ArithmeticError("quartic residual is nonzero at the requested precision")

@@ -1,0 +1,153 @@
+"""cf_of_series over GF(p) (the half-gcd) against the classical
+step-by-step Euclid it replaced, which stays here as the oracle."""
+
+import random
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wordcf import cf, verify
+from wordcf.cf import cf_of_series
+from wordcf.fields import GF
+from wordcf.poly import Polynomial
+from wordcf.series import LaurentSeries, PrecisionError
+from wordcf.words import theta_series
+
+
+def classical_cf_of_series(alpha):
+    """The certified expansion by one Polynomial division per quotient,
+    with the stop rule checked before each division."""
+    field = alpha.field
+    if alpha.known_down > 0:
+        raise PrecisionError("precision exhausted")
+    budget = -alpha.known_down
+    if alpha.is_zero:
+        return [Polynomial.zero(field)], 0, 0, True
+    num = Polynomial(field, list(reversed(alpha.coeffs)))
+    den = Polynomial.monomial(field, field.one, budget)
+    a0, r = divmod(num, den)
+    quotients = [a0]
+    prev, cur = den, r
+    deg_y = 0
+    terminated = False
+    while True:
+        if cur.is_zero:
+            terminated = True
+            break
+        step = prev.degree - cur.degree
+        if 2 * (deg_y + step) > budget:
+            break
+        q, r = divmod(prev, cur)
+        quotients.append(q)
+        deg_y += step
+        prev, cur = cur, r
+    if len(quotients) == 1 and not terminated:
+        raise PrecisionError("precision exhausted")
+    return quotients, len(quotients) - 1, 2 * deg_y, terminated
+
+
+def _outcome(expand, alpha):
+    try:
+        out = expand(alpha)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+    if isinstance(out, cf.SeriesExpansion):
+        return list(out.cf.quotients), out.emitted, out.precision_consumed, out.terminated
+    return out
+
+
+def assert_matches_oracle(alpha):
+    want = _outcome(classical_cf_of_series, alpha)
+    assert _outcome(cf_of_series, alpha) == want
+    return want
+
+
+@contextmanager
+def base_case(size):
+    """Run the half-gcd with another base-case bound, so that small inputs
+    also take the recursive path."""
+    saved = cf._HALF_GCD_BASE
+    cf._HALF_GCD_BASE = size
+    try:
+        yield
+    finally:
+        cf._HALF_GCD_BASE = saved
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("prec", [1, 2, 3, 4, 5, 64, 65, 333, 1000, 4000])
+def test_quartic_roots(p, prec):
+    want = assert_matches_oracle(verify.quartic_root(p, prec))
+    if prec >= 64:
+        assert want[1] > 0 and not want[3]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("prec", [1, 2, 10, 99, 100, 1500])
+def test_theta(p, prec):
+    assert_matches_oracle(theta_series(prec, GF(p)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5])
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_recursion_on_small_inputs(size, p):
+    with base_case(size):
+        for prec in (3, 17, 64, 65, 200, 401):
+            assert_matches_oracle(verify.quartic_root(p, prec))
+            assert_matches_oracle(theta_series(prec, GF(p)))
+
+
+prime = st.sampled_from([2, 3, 5, 7, 257, 2**61 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=prime,
+    top=st.integers(min_value=-3, max_value=4),
+    digits=st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=90),
+    zero_share=st.sampled_from([0, 2, 5]),
+    size=st.sampled_from([0, 1, 3, 32]),
+)
+@example(p=3, top=2, digits=[1, 2, 0, 1, 1, 2, 2, 0, 1], zero_share=0, size=0)  # a0 != 0, odd budget
+@example(p=3, top=1, digits=[1, 2, 0, 1, 1, 2, 2, 0, 1], zero_share=0, size=0)  # a0 != 0, even budget
+@example(p=2, top=-1, digits=[1] + [0] * 40 + [1], zero_share=0, size=0)  # first quotient over budget
+def test_drawn_series(p, top, digits, zero_share, size):
+    # zero_share blanks every digit whose index is divisible by it (0: none),
+    # for runs of zeros and high-degree quotients.
+    digits = [0 if zero_share and i % zero_share == 0 else c % p for i, c in enumerate(digits)]
+    alpha = LaurentSeries(GF(p), top, digits)
+    with base_case(size):
+        assert_matches_oracle(alpha)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 257])
+def test_rational_series_terminate(p):
+    # Digits followed by zeros: the truncation is h / T^j with h of low
+    # degree, and once the zeros outnumber the digits Euclid reaches
+    # remainder 0 within the budget.
+    field = GF(p)
+    rng = random.Random(p)
+    terminated = 0
+    for _ in range(40):
+        head = [1 + rng.randrange(p - 1)] + [rng.randrange(p) for _ in range(rng.randint(0, 40))]
+        for pad in (len(head) // 2, len(head), len(head) + 3, 2 * len(head)):
+            alpha = LaurentSeries(field, rng.randint(-3, 3), head + [0] * pad)
+            for size in (1, 32):
+                with base_case(size):
+                    want = assert_matches_oracle(alpha)
+            terminated += want[-1] is True
+    assert terminated >= 80
+
+
+def test_first_quotient_over_budget_raises():
+    # alpha = T^-30 known down to T^-32, a budget of 32: its first partial
+    # quotient T^30 would need 2 * 30 <= 32.
+    field = GF(3)
+    alpha = LaurentSeries(field, -30, [1, 0, 0], -32)
+    assert _outcome(classical_cf_of_series, alpha)[0] == "PrecisionError"
+    with pytest.raises(PrecisionError, match="precision exhausted"):
+        cf_of_series(alpha)
+    with base_case(0), pytest.raises(PrecisionError, match="precision exhausted"):
+        cf_of_series(alpha)

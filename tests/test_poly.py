@@ -214,7 +214,8 @@ def test_mul_matches_schoolbook_over_q(cs, cs2):
     assert a * b == b * a == _schoolbook_mul(a, b)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7])
+# Up to 40 coefficients: kernel slots of 1, 2, 4, 8 and 16 bytes.
+@pytest.mark.parametrize("p", [2, 3, 7, 257, 1000003, 2**61 - 1])
 @given(cs=int_coeffs, cs2=int_coeffs)
 def test_mul_matches_schoolbook_over_gfp(p, cs, cs2):
     a, b = Polynomial(GF(p), cs), Polynomial(GF(p), cs2)

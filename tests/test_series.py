@@ -100,7 +100,7 @@ def test_add_matches_per_exponent_loop(field, top, cs, top2, cs2):
 
 # Kronecker slots from one byte (GF(2)) to wider than a machine word
 # (GF(2^61 - 1)).
-PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(1000003), GF(2**61 - 1)]
+PRIME_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(257), GF(1000003), GF(2**61 - 1)]
 
 
 def _one_to(x):

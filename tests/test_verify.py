@@ -302,13 +302,23 @@ class TestQuartic:
         assert expansion.monomial
         assert set(expansion.lambdas) <= {1, 2}
 
-    def test_deep_root_spells_the_word(self):
-        expansion = verify.quartic_expansion(3, 10_000)
+    @staticmethod
+    def _assert_root_spells_the_word(prec):
+        expansion = verify.quartic_expansion(3, prec)
         residual = verify.quartic_residual(expansion.root)
-        assert residual.is_zero and residual.known_down <= -9_999
+        assert residual.is_zero and residual.known_down <= 1 - prec
         assert expansion.monomial
+        k = len(expansion.lambdas)
+        assert k >= prec // 15
         assert set(expansion.lambdas) <= {1, 2}
-        assert expansion.lambdas[:1000] == tuple(map(int, prefix(1000)))
+        assert expansion.lambdas == tuple(map(int, prefix(k)))
+
+    def test_deep_root_spells_the_word(self):
+        self._assert_root_spells_the_word(10_000)
+
+    def test_root_at_precision_1e5_spells_the_word(self):
+        # About 7200 certified quotients, every one a monomial lambda T^u.
+        self._assert_root_spells_the_word(100_000)
 
     def test_insufficient_precision_hint(self):
         with pytest.raises(PrecisionError, match="raise prec"):
