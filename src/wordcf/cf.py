@@ -95,18 +95,18 @@ def convergents(cf: ContinuedFraction) -> ConvergentTable:
 
 
 def cf_of_fraction(num: Polynomial, den: Polynomial) -> ContinuedFraction:
-    """Finite continued fraction of num/den by iterated division."""
+    """Finite continued fraction of num/den: a0 = num div den, then the
+    quotients of the Euclidean remainder sequence of den and num mod den.
+
+    Those have degree sum deg den - deg gcd, so a budget of 2 deg den lets
+    ``_certified_euclid`` return all of them.
+    """
     check_same_field(num.field, den.field)
     if den.is_zero:
         raise ZeroDivisionError("zero divisor")
     a0, r = divmod(num, den)
-    quotients = [a0]
-    prev, cur = den, r
-    while not cur.is_zero:
-        q, r = divmod(prev, cur)
-        quotients.append(q)
-        prev, cur = cur, r
-    return ContinuedFraction(tuple(quotients))
+    partials, _ = _certified_euclid(den, r, 2 * den.degree)
+    return ContinuedFraction((a0, *partials))
 
 
 def eval_cf(cf: ContinuedFraction) -> RationalFunction:
@@ -149,8 +149,8 @@ def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
 
     With r_{-1} = T^N and r_0 = num mod T^N, deg y_{n+1} = N - deg r_n, so
     a_{n+1} is emitted iff deg r_n >= ceil(N/2): the emitted quotients are
-    those whose degree sum stays <= floor(N/2).  Over GF(p) that prefix is
-    one half-gcd (``_half_gcd``); over Q the division loop runs step by step.
+    those whose degree sum stays <= floor(N/2), which ``_certified_euclid``
+    returns.
     """
     field = alpha.field
     if alpha.known_down > 0:
@@ -169,15 +169,7 @@ def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
     num = Polynomial(field, list(reversed(alpha.coeffs)))
     den = Polynomial.monomial(field, field.one, budget)
     a0, r = divmod(num, den)
-    p = field.characteristic
-    if p:
-        # The last remainder comes back exact, at full size: it is zero iff
-        # the expansion of the truncation itself ended.
-        partials, _, _, rest = _half_gcd([0] * budget + [1], list(r.ints), budget // 2, p)
-        partials = [Polynomial._raw(field, q) for q in partials]
-        terminated = not rest
-    else:
-        partials, terminated = _certified_euclid(den, r, budget)
+    partials, terminated = _certified_euclid(den, r, budget)
     if not partials and not terminated:
         raise PrecisionError("precision exhausted")
     return SeriesExpansion(
@@ -189,8 +181,17 @@ def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
 
 
 def _certified_euclid(prev: Polynomial, cur: Polynomial, budget: int):
-    """The quotients of prev/cur with degree sum <= budget/2, one division
-    at a time, and whether the remainder after them is zero."""
+    """The quotients of prev/cur (deg prev > deg cur) with degree sum
+    <= budget/2, and whether the remainder after them is zero.
+
+    Over GF(p) they come from one half-gcd (``_half_gcd``), whose last
+    remainder is exact, at full size; over Q from one division at a time.
+    """
+    field = prev.field
+    p = field.characteristic
+    if p:
+        quotients, _, _, rest = _half_gcd(list(prev.ints), list(cur.ints), budget // 2, p)
+        return [Polynomial._raw(field, q) for q in quotients], not rest
     quotients = []
     deg_y = 0
     while not cur.is_zero:

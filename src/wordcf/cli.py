@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PrecisionError, ParseError, ValueError, ZeroDivisionError) as exc:
+    except (PrecisionError, ParseError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, field, coeff, k: int):
+        if k < 0:
+            raise ValueError("monomial exponent must be nonnegative")
         coeff = field.coerce(coeff)
         if not coeff:
             return cls.zero(field)
@@ -544,6 +546,7 @@ class _Parser:
     def __init__(self, text: str, field):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.field = field
 
     def peek(self):
@@ -610,8 +613,12 @@ class _Parser:
             return RationalFunction.from_poly(Polynomial.t(self.field))
         if kind == "(":
             self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {self.tokens[self.pos][1]!r}")
 
@@ -619,6 +626,11 @@ class _Parser:
 # Highest degree a power in a parsed expression may reach, far above any
 # expansion this package can finish; a larger one fails before squaring.
 MAX_POWER_DEGREE = 10**6
+
+# Deepest parenthesis nesting a parsed expression may have.  Each level
+# takes five frames of the recursive descent, so this stays well inside
+# Python's default recursion limit whatever the caller's depth.
+MAX_NESTING = 100
 
 # Highest estimated cost of expanding a power, in 64-bit word products:
 # about a second of schoolbook squaring on one core.

@@ -74,7 +74,9 @@ class LaurentSeries:
         top = p.degree
         if known_down > top:
             raise ValueError("known_down must not exceed the degree")
-        coeffs = [p.coefficient(k) for k in range(top, known_down - 1, -1)]
+        coeffs = p.coeffs[max(known_down, 0) :][::-1]
+        if known_down < 0:
+            coeffs += (p.field.zero,) * -known_down
         return cls._raw(p.field, top, coeffs, known_down)
 
     def __setattr__(self, name, value):
@@ -251,9 +253,11 @@ def _mul_trunc_schoolbook(a, b, n: int, field):
 def series_of_fraction(num: Polynomial, den: Polynomial, prec: int) -> LaurentSeries:
     """Expand num/den in powers of 1/T, exact on the top ``prec`` exponents.
 
-    The result's known_down is top - prec + 1 where top = deg num - deg den.
-    Division is digit-by-digit against the nonzero support of ``den``, so
-    sparse denominators (the dominant case here) cost O(prec * nnz(den)).
+    The result's known_down is kd = top - prec + 1 where
+    top = deg num - deg den.  The digits are those of the polynomial part of
+    T^-kd num/den: one long division of num shifted by T^-kd (or with its
+    kd low digits dropped, which cannot reach that part) by ``den``, whose
+    quotient has degree prec - 1.
     """
     check_same_field(num.field, den.field)
     if den.is_zero:
@@ -265,26 +269,8 @@ def series_of_fraction(num: Polynomial, den: Polynomial, prec: int) -> LaurentSe
         return LaurentSeries.zero(field, -prec)
     top = num.degree - den.degree
     kd = top - prec + 1
-    dlead = den.lead
-    support = [(den.degree - i, c) for i, c in enumerate(den.coeffs[:-1]) if c]
-    # rem maps exponent offsets: rem[j] is the coefficient of T^(num.degree - j)
-    # of the running remainder; entries below the output window are dropped.
-    rem = {j: c for j, c in enumerate(reversed(num.coeffs)) if c}
-    # Over a monic denominator an int digit is its own quotient (the
-    # approximant denominators T^a - T^b all are): skip the Fraction division.
-    monic = dlead == field.one
-    out = []
-    for k in range(top, kd - 1, -1):
-        j = top - k
-        c = rem.pop(j, field.zero)
-        if c:
-            q = c if monic and type(c) is int else field.div(c, dlead)
-            out.append(q)
-            for off, dc in support:
-                jj = j + off
-                rem[jj] = field.reduce(rem.get(jj, field.zero) - q * dc)
-                if not rem[jj]:
-                    del rem[jj]
-        else:
-            out.append(field.zero)
-    return LaurentSeries._raw(field, top, out, kd)
+    if kd <= 0:
+        num = num.shift(-kd)
+    else:
+        num = Polynomial._over(field, num.ints[kd:], num.den)
+    return LaurentSeries._raw(field, top, (num // den).coeffs[::-1], kd)

@@ -101,13 +101,7 @@ def check_lemma1(n: int) -> CheckReport:
     ell = lengths(n)
     t_expected = (9 * ell[n] + 3 * ell[n - 1] + 11) // 2
     omega_expected = 3 - Fraction(4, 3 * ell[n] + ell[n - 1] + 5)
-    pair = tail_periodic_pair(n)
-    theta = theta_series(t_expected + 4)
-    t_measured = approx_order(theta, pair.r, pair.s)
-    omega_measured = Fraction(t_measured, pair.s.degree)
-    expected = f"t={t_expected};omega={omega_expected}"
-    actual = f"t={t_measured};omega={omega_measured}"
-    return CheckReport("lemma1", n, expected, actual)
+    return _exponent_report("lemma1", tail_periodic_pair(n), t_expected, omega_expected)
 
 
 def check_lemma2(n: int) -> CheckReport:
@@ -118,13 +112,18 @@ def check_lemma2(n: int) -> CheckReport:
     len_j = (ell[n] + ell[n - 1] - 1) // 2
     t_expected = 2 * len_up + len_j + 1
     omega_expected = 2 + Fraction(ell[n] + ell[n - 1] + 1, 6 * ell[n] + 2 * ell[n - 1] + 8)
-    pair = pure_periodic_pair(n)
+    return _exponent_report("lemma2", pure_periodic_pair(n), t_expected, omega_expected)
+
+
+def _exponent_report(check: str, pair: ApproximantPair, t_expected: int, omega_expected) -> CheckReport:
+    """The measured order t of pair's approximation to the generating series
+    and t/deg(den), against the expected ones, as ``t=...;omega=...``."""
     theta = theta_series(t_expected + 4)
     t_measured = approx_order(theta, pair.r, pair.s)
     omega_measured = Fraction(t_measured, pair.s.degree)
     expected = f"t={t_expected};omega={omega_expected}"
     actual = f"t={t_measured};omega={omega_measured}"
-    return CheckReport("lemma2", n, expected, actual)
+    return CheckReport(check, pair.n, expected, actual)
 
 
 def cross_product_delta(n: int) -> Polynomial:

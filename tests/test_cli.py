@@ -17,6 +17,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(argv):
+    """``python -m wordcf`` in a fresh process, on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "wordcf", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_word_block(capsys):
     code, out, _ = run_cli(capsys, "word", "--n", "3")
     assert code == 0
@@ -216,13 +226,30 @@ def test_oversized_input_fails_fast(capsys, argv):
     ],
 )
 def test_module_entry_point(argv, code, out, err_start):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "wordcf", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_module(argv)
     assert proc.returncode == code
     assert proc.stdout == out
     assert proc.stderr.startswith(err_start)
     assert (proc.stderr == "") == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["word", "--n", "3", "--output", "{missing}"],
+        ["measure", "--max-n", "2", "--csv", "{missing}"],
+        ["cf", "--ratfunc", "(" * 300 + "T" + ")" * 300],
+        ["cf", "--ratfunc", "T^99999999"],
+        ["quartic", "--p", "4"],
+        ["cf", "--field", "0"],
+        ["word", "--n", "30"],
+    ],
+)
+def test_hostile_input_gives_one_line_error(tmp_path, argv):
+    # Whatever the handler, bad input ends in exit 1 and one message line.
+    proc = run_module([a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(("error: ", "usage error: "))
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,5 @@
-"""cf_of_series over GF(p) (the half-gcd) against the classical
-step-by-step Euclid it replaced, which stays here as the oracle."""
+"""cf_of_series and cf_of_fraction over GF(p) (the half-gcd) against the
+classical step-by-step Euclid they replaced, which stays here as the oracle."""
 
 import random
 from contextlib import contextmanager
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordcf import cf, verify
-from wordcf.cf import cf_of_series
+from wordcf.cf import cf_of_fraction, cf_of_series
 from wordcf.fields import GF
 from wordcf.poly import Polynomial
 from wordcf.series import LaurentSeries, PrecisionError
@@ -151,3 +151,77 @@ def test_first_quotient_over_budget_raises():
         cf_of_series(alpha)
     with base_case(0), pytest.raises(PrecisionError, match="precision exhausted"):
         cf_of_series(alpha)
+
+
+def classical_cf_of_fraction(num, den):
+    """The partial quotients of num/den by one Polynomial division each."""
+    a0, r = divmod(num, den)
+    quotients = [a0]
+    prev, cur = den, r
+    while not cur.is_zero:
+        q, r = divmod(prev, cur)
+        quotients.append(q)
+        prev, cur = cur, r
+    return quotients
+
+
+def fold(field, quotients):
+    """(num, den) with num/den = [q0; q1, ...], from residue lists."""
+    *head, last = [Polynomial(field, q) for q in quotients]
+    num, den = last, Polynomial.one(field)
+    for a in reversed(head):
+        num, den = a * num + den, num
+    return num, den
+
+
+def assert_fraction_matches_oracle(num, den):
+    want = classical_cf_of_fraction(num, den)
+    for size in (0, 1, 32):
+        with base_case(size):
+            assert list(cf_of_fraction(num, den).quotients) == want
+    return want
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**61 - 1])
+def test_fraction_with_long_quotients_and_common_factor(p):
+    # Quotient degrees above _HALF_GCD_BASE between short ones, and the
+    # same fraction times a common factor: the gcd changes no quotient.
+    field = GF(p)
+    rng = random.Random(p)
+    degrees = [2, 1, cf._HALF_GCD_BASE + 9, 3, 1, 2 * cf._HALF_GCD_BASE + 1, 1, 5]
+    quotients = [[rng.randrange(p) for _ in range(d)] + [1 + rng.randrange(p - 1)] for d in degrees]
+    num, den = fold(field, quotients)
+    want = assert_fraction_matches_oracle(num, den)
+    assert [q.degree for q in want] == degrees
+    g = Polynomial(field, [rng.randrange(p) for _ in range(7)] + [1])
+    assert assert_fraction_matches_oracle(num * g, den * g) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_fraction_edge_shapes(p):
+    field = GF(p)
+    num = Polynomial(field, [1, 2, 0, 1, 1])
+    # A constant den: a0 is the whole fraction.
+    assert assert_fraction_matches_oracle(num, Polynomial(field, [p - 1])) == [num.scale(field.invert(p - 1))]
+    # deg num < deg den: a0 = 0.
+    den = Polynomial(field, [1, 0, 1, 1, 0, 0, 1])
+    assert assert_fraction_matches_oracle(num, den)[0].is_zero
+    # A zero numerator, and den dividing num (gcd = den).
+    assert assert_fraction_matches_oracle(Polynomial.zero(field), den) == [Polynomial.zero(field)]
+    assert len(assert_fraction_matches_oracle(num * den, den)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=prime,
+    num=st.lists(st.integers(min_value=0, max_value=2**62), max_size=120),
+    den=st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=120),
+    common=st.lists(st.integers(min_value=0, max_value=2**62), max_size=6),
+)
+def test_drawn_fractions(p, num, den, common):
+    field = GF(p)
+    num, den = Polynomial(field, num), Polynomial(field, den)
+    g = Polynomial(field, common + [1])
+    if den.is_zero:
+        return
+    assert_fraction_matches_oracle(num * g, den * g)

@@ -162,6 +162,25 @@ def test_parse_rejects_garbage():
         parse_poly("(T^2+1)/(T-1)")
 
 
+def test_parse_bounds_nesting_depth():
+    from wordcf.poly import MAX_NESTING, ParseError
+
+    def nested(depth):
+        return "(" * depth + "T-1" + ")" * depth
+
+    assert parse_poly(nested(MAX_NESTING)) == P("T-1")
+    for depth in (MAX_NESTING + 1, 10**4):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+            parse_ratfunc(nested(depth))
+
+
+def test_monomial_rejects_negative_exponent():
+    assert Polynomial.monomial(QQ, 5, 0) == P("5")
+    for coeff in (5, 0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Polynomial.monomial(QQ, coeff, -3)
+
+
 def test_gf_polynomials():
     f3 = GF(3)
     a = Polynomial(f3, [2, 2, 1])  # T^2 + 2T + 2

@@ -192,13 +192,24 @@ def test_ultrametric_law(top, cs, top2, cs2):
         assert s.top == max(x.top, y.top)
 
 
-@given(cs=coeffs, cs2=coeffs)
-def test_expansion_times_denominator_reproduces_numerator(cs, cs2):
-    num, den = Polynomial(QQ, cs), Polynomial(QQ, cs2)
+@given(
+    cs=coeffs,
+    cs2=coeffs,
+    field=st.sampled_from([QQ, GF(2), GF(3), GF(7), GF(257)]),
+    prec=st.integers(min_value=1, max_value=16),
+)
+@example(cs=[1, 2, 3, 4, 5, 6, 7, 8, 9], cs2=[3], field=QQ, prec=2)  # prec < top + 1
+@example(cs=[1, 2, 3, 4, 5, 6, 7, 8, 9], cs2=[1, 2], field=GF(3), prec=3)
+@example(cs=[5], cs2=[1, 0, 0, 2], field=GF(7), prec=16)  # shift past a zero top
+def test_expansion_times_denominator_reproduces_numerator(cs, cs2, field, prec):
+    # s has prec exact digits, so s * den (den exact below its degree as
+    # far as those digits reach) reproduces num on its top prec digits.
+    num, den = Polynomial(field, cs), Polynomial(field, cs2)
     if den.is_zero:
         return
-    s = series_of_fraction(num, den, 12)
-    den_series = LaurentSeries.from_poly(den, s.known_down - den.degree - 1)
+    s = series_of_fraction(num, den, prec)
+    assert s.known_down == num.degree - den.degree - prec + 1 or num.is_zero
+    den_series = LaurentSeries.from_poly(den, den.degree - prec + 1)
     prod = s * den_series
     diff = prod - LaurentSeries.from_poly(num, prod.known_down)
     assert diff.is_zero
@@ -251,8 +262,8 @@ fraction_coeffs = st.lists(
 
 @given(cs=st.one_of(coeffs, fraction_coeffs), cs2=coeffs)
 def test_monic_denominator_expansion_matches_scaled_denominator(cs, cs2):
-    # A monic denominator skips the division of each digit by the leading
-    # coefficient; scaling num and den by 2 forces that division back in.
+    # A monic denominator divides with no scaling; scaling num and den by 2
+    # gives the division a non-unit leading coefficient.
     num = Polynomial(QQ, cs)
     den = Polynomial(QQ, cs2 + [1])
     got = series_of_fraction(num, den, 15)
