@@ -26,6 +26,8 @@ from array import array
 _SWAP = sys.byteorder != "little"
 # The unsigned array typecode of each item size (1, 2, 4, 8 bytes).
 _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+# Byte b to b ^ 0x80, which read as a signed byte is b - 128.
+_FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
 def product(a, b, n: int, p: int) -> list:
@@ -104,3 +106,20 @@ def _unpack(value: int, count: int, width: int, p: int) -> list:
     else:
         items = memoryview(slots).cast(code)
     return [c % p for c in items]
+
+
+def signed_digits(value: int) -> list:
+    """The balanced base-256 digits of ``value``, ascending, each in
+    [-128, 127], with no zero top digit: the coefficients of the one integer
+    polynomial with coefficients in [-128, 127] whose value at T = 256 is
+    ``value``.
+
+    Adding 128 to every digit makes them all bytes, so the read-back is one
+    ``to_bytes`` and one signed-byte cast.
+    """
+    size = (value.bit_length() + 7) // 8 + 1
+    offset = int.from_bytes(b"\x80" * size, "little")
+    digits = array("b", (value + offset).to_bytes(size, "little").translate(_FLIP)).tolist()
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits

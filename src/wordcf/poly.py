@@ -656,6 +656,10 @@ def _power_cost(value: RationalFunction, k: int) -> int:
     return n * n * (w * w + 50)
 
 
+def _is_monomial(p: Polynomial) -> bool:
+    return len(p.ints) - p.ints.count(0) == 1
+
+
 def _rf_pow(value: RationalFunction, k: int) -> RationalFunction:
     if abs(k) * max(value.num.degree, value.den.degree) > MAX_POWER_DEGREE:
         raise ValueError(f"power of degree above {MAX_POWER_DEGREE} in expression")
@@ -665,6 +669,16 @@ def _rf_pow(value: RationalFunction, k: int) -> RationalFunction:
         )
     if k < 0:
         return _rf_pow(value.invert(), -k)
+    num, den = value.num, value.den
+    if _is_monomial(num) and _is_monomial(den):
+        # (c T^a / T^b)^k = c^k T^(ak) / T^(bk), still reduced: no products.
+        field = value.field
+        c = num.lead
+        c = pow(c, k, field.characteristic) if field.characteristic else c**k
+        return RationalFunction._from_coprime(
+            Polynomial.monomial(field, c, num.degree * k),
+            Polynomial.monomial(field, field.one, den.degree * k),
+        )
     result = RationalFunction.from_poly(Polynomial.one(value.field))
     base = value
     while k:

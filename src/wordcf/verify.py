@@ -13,6 +13,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _kernel
 from .fields import GF, QQ
 from .poly import Polynomial, format_poly, poly_gcd
 from .series import LaurentSeries, PrecisionError
@@ -59,6 +60,24 @@ class ApproximantPair(namedtuple("ApproximantPair", "n r s kind")):
     __slots__ = ()
 
 
+def _tail_den_exponents(n: int) -> tuple[int, int]:
+    """(high, low) with den_n = T^high - T^low for the tail-periodic pair:
+    low = (len_n + len_{n-1} + 3)/2 and high = low + len_n + 1."""
+    if n < 1:
+        raise ValueError("approximants are defined for n >= 1")
+    ell = lengths(n)
+    low = (ell[n] + ell[n - 1] + 3) // 2
+    return low + ell[n] + 1, low
+
+
+def _pure_den_degree(n: int) -> int:
+    """m with den'_n = T^m - 1 for the pure-periodic pair: m = len(u')."""
+    if n < 1:
+        raise ValueError("approximants are defined for n >= 1")
+    ell = lengths(n)
+    return 3 * ell[n] + ell[n - 1] + 4
+
+
 @functools.lru_cache(maxsize=None)
 def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
     """Approximant from the eventually periodic word u v v v...
@@ -68,14 +87,11 @@ def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
     For the default alphabet, num(1) != 0 is asserted (it can genuinely vanish
     for other alphabets, which is the point of the alphabet variant).
     """
-    if n < 1:
-        raise ValueError("approximants are defined for n >= 1")
-    ell = lengths(n + 1)
+    high, low = _tail_den_exponents(n)
     g_now = aux_words(n).g
     g_next = aux_words(n + 1).g
     r = word_poly(g_next, alphabet=alphabet) - word_poly(g_now, alphabet=alphabet)
-    low = (ell[n] + ell[n - 1] + 3) // 2
-    s = Polynomial.monomial(QQ, QQ.one, low + ell[n] + 1) - Polynomial.monomial(QQ, QQ.one, low)
+    s = Polynomial.monomial(QQ, QQ.one, high) - Polynomial.monomial(QQ, QQ.one, low)
     if alphabet == (1, 2) and r.evaluate(1) == 0:
         raise ArithmeticError(f"num(1) vanished unexpectedly at n={n}")
     return ApproximantPair(n=n, r=r, s=s, kind="tail-periodic")
@@ -85,11 +101,8 @@ def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
 def pure_periodic_pair(n: int) -> ApproximantPair:
     """Approximant from the purely periodic word (u')^infinity:
     num = encoding of u', den = T^len(u') - 1."""
-    if n < 1:
-        raise ValueError("approximants are defined for n >= 1")
-    ell = lengths(n)
     r = word_poly(aux_words(n).up)
-    s = Polynomial.monomial(QQ, QQ.one, 3 * ell[n] + ell[n - 1] + 4) - Polynomial.one(QQ)
+    s = Polynomial.monomial(QQ, QQ.one, _pure_den_degree(n)) - Polynomial.one(QQ)
     if r.coefficient(0) == 0 or r.evaluate(1) == 0:
         raise ArithmeticError(f"num(0) or num(1) vanished unexpectedly at n={n}")
     return ApproximantPair(n=n, r=r, s=s, kind="pure-periodic")
@@ -133,45 +146,115 @@ def cross_product_delta(n: int) -> Polynomial:
     return a.r * b.s - b.r * a.s
 
 
+# Lemma 3 is checked on values at T = X = 2^8 (Kronecker substitution).  An
+# integer polynomial whose coefficients all have |c| <= 127 is fixed by its
+# value at 2^8: they are the value's balanced base-256 digits.  Every side
+# compared below, and every difference of two sides, has |c| <= 8: r_n and
+# r'_n have coefficients in [-2, 2], and s_n, s'_n, p_n and q_n at most two
+# terms +-1, so a product of one of each has |c| <= 4; delta is a difference
+# of two such products, and each recurrence compares a pair member with a
+# product plus a pair member.  So equal values are equal polynomials, and
+# the digits of delta are its coefficients.
+_X_BITS = 8
+
+# Letters '1' and '2' as the byte digits 1 and 2.
+_LETTER_DIGITS = bytes.maketrans(b"12", b"\x01\x02")
+
+
+class PackedPair(namedtuple("PackedPair", "r den")):
+    """An approximant pair at T = X: ``r`` is the int num(X) and ``den`` the
+    terms (sign, exponent) of the binomial denominator."""
+
+    __slots__ = ()
+
+
+def _times(value: int, terms) -> int:
+    """value * (sum of sign * T^e over the terms) at T = X: a shift a term."""
+    total = 0
+    for sign, e in terms:
+        shifted = value << (_X_BITS * e)
+        total = total + shifted if sign > 0 else total - shifted
+    return total
+
+
+def _packed_word(w: str) -> int:
+    """word_poly(w) at T = X.  The first letter carries the top power, so
+    the letters, as bytes 1 and 2, are the value's big-endian digits."""
+    raw = w.encode("ascii", "replace")
+    if raw.translate(None, b"12"):
+        raise ValueError("word symbols must be '1' or '2'")
+    return int.from_bytes(raw.translate(_LETTER_DIGITS), "big")
+
+
+def _letter_sum(w: str) -> int:
+    """word_poly(w) at T = 1."""
+    return len(w) + w.count("2")
+
+
+def packed_tail_pair(n: int) -> PackedPair:
+    """tail_periodic_pair(n) at T = X, from its words and exponents, with
+    the same num(1) != 0 guard."""
+    high, low = _tail_den_exponents(n)
+    g_now, g_next = aux_words(n).g, aux_words(n + 1).g
+    r = _packed_word(g_next) - _packed_word(g_now)
+    if _letter_sum(g_next) == _letter_sum(g_now):
+        raise ArithmeticError(f"num(1) vanished unexpectedly at n={n}")
+    return PackedPair(r, ((1, high), (-1, low)))
+
+
+def packed_pure_pair(n: int) -> PackedPair:
+    """pure_periodic_pair(n) at T = X, with the same num(0), num(1) != 0
+    guard; num(0) is the last letter, the low byte of num(X)."""
+    m = _pure_den_degree(n)
+    up = aux_words(n).up
+    r = _packed_word(up)
+    if not r & 0xFF or not _letter_sum(up):
+        raise ArithmeticError(f"num(0) or num(1) vanished unexpectedly at n={n}")
+    return PackedPair(r, ((1, m), (-1, 0)))
+
+
 def check_lemma3(n: int) -> CheckReport:
     """Cross-product identity, the four ladder recurrences linking index n to
     n+1, and the coprimality conclusions.
 
+    Every identity is checked as one identity of integers, the values at
+    T = X = 2^8 (see ``_X_BITS``).  The numerators are packed from their
+    words in one C-level pass each, and every product has a monomial or
+    binomial factor, so it is one or two shifts: the check is linear in the
+    word lengths and builds no Polynomial of the pairs.  The reported delta
+    is read back from its value's digits.
+
     The gcd statements are verified by divisibility: any common divisor of a
     pair divides the cross product +-(T-1), so once that identity holds,
-    coprimality follows from num(1) != 0.  (A literal Euclidean gcd over Q is
-    quadratic in degrees ~10^4 and is cross-checked in tests for small n.)
+    coprimality follows from num(1) != 0, which the packed pairs guard.  (A
+    literal Euclidean gcd is cross-checked in tests for small n.)
     """
-    field = QQ
     ell = lengths(n + 2)
-    pair1, pair1p = tail_periodic_pair(n), pure_periodic_pair(n)
-    pair2, pair2p = tail_periodic_pair(n + 1), pure_periodic_pair(n + 1)
-    t_minus_1 = Polynomial(field, [-1, 1])
-    delta_expected = t_minus_1 if n % 2 == 0 else -t_minus_1
-    delta = cross_product_delta(n)
+    a, ap = packed_tail_pair(n), packed_pure_pair(n)
+    b, bp = packed_tail_pair(n + 1), packed_pure_pair(n + 1)
     len_f_next = (ell[n + 1] + ell[n] - 1) // 2
     len_v_next = ell[n + 1] + 1
     len_g = (ell[n] + ell[n - 1] + 3) // 2
-    p_n = Polynomial.monomial(field, 1, len_f_next + 1 + len_v_next) + Polynomial.monomial(
-        field, 1, len_f_next + 1
-    )
-    q_n = Polynomial.monomial(field, 1, len_g)
+    p_n = ((1, len_f_next + 1 + len_v_next), (1, len_f_next + 1))
+    q_n = ((1, len_g),)
+    s, sp, s2, s2p = (_times(1, pair.den) for pair in (a, ap, b, bp))
     rec = [
-        pair2p.s == p_n * pair2.s + pair1p.s,
-        pair2.s == q_n * pair1p.s - pair1.s,
-        pair2p.r == p_n * pair2.r + pair1p.r,
-        pair2.r == q_n * pair1p.r - pair1.r,
+        s2p == _times(s2, p_n) + sp,
+        s2 == _times(sp, q_n) - s,
+        bp.r == _times(b.r, p_n) + ap.r,
+        b.r == _times(ap.r, q_n) - a.r,
     ]
-    delta_ok = delta == delta_expected
-    gcd_rs = "1" if delta_ok and pair1.r.evaluate(1) != 0 else "?"
-    gcd_rsp = "1" if delta_ok and pair1p.r.evaluate(1) != 0 else "?"
-    expected = (
-        f"delta={format_poly(delta_expected)};rec=ok,ok,ok,ok;gcd={1},{1}"
-    )
+    sign = 1 if n % 2 == 0 else -1
+    delta = _times(a.r, ap.den) - _times(ap.r, a.den)
+    delta_ok = delta == sign * ((1 << _X_BITS) - 1)
+    delta_poly = Polynomial(QQ, _kernel.signed_digits(delta))
+    expected_poly = Polynomial(QQ, [-sign, sign])
+    gcd = "1,1" if delta_ok else "?,?"
+    expected = f"delta={format_poly(expected_poly)};rec=ok,ok,ok,ok;gcd=1,1"
     actual = (
-        f"delta={format_poly(delta)};"
+        f"delta={format_poly(delta_poly)};"
         f"rec={','.join('ok' if r else 'FAIL' for r in rec)};"
-        f"gcd={gcd_rs},{gcd_rsp}"
+        f"gcd={gcd}"
     )
     return CheckReport("lemma3", n, expected, actual)
 

@@ -236,7 +236,11 @@ def theta_series(prec: int, field=QQ) -> LaurentSeries:
     """Generating series of the infinite word: letter k at exponent -k."""
     if prec < 1:
         raise ValueError("prec must be at least 1")
-    return LaurentSeries(field, -1, map(int, prefix(prec)), -prec)
+    # One C-level pass: the letters become the byte digits of their field
+    # elements (over GF(2), 2 is 0).
+    digits = bytes.maketrans(b"12", bytes(map(field.coerce, (1, 2))))
+    letters = prefix(prec).encode("ascii").translate(digits)
+    return LaurentSeries._raw(field, -1, tuple(letters), -prec)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "name n status")):

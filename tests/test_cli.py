@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -91,8 +92,24 @@ def test_verify_all_quick(capsys):
 
 
 def test_forced_failure_gives_exit_two(capsys, monkeypatch):
-    # Corrupt the first approximant numerator: the suite must notice and
-    # the process contract must report it as a check failure.
+    # Corrupt the first approximant numerator, in the packed form lemma 3
+    # reads (r + 1 at T = 2^8 is the value plus one): the suite must notice
+    # and the process contract must report it as a check failure.
+    real = verify.packed_tail_pair
+
+    def corrupted(n):
+        pair = real(n)
+        return pair._replace(r=pair.r + 1) if n == 1 else pair
+
+    monkeypatch.setattr(verify, "packed_tail_pair", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "lemma3", "--max-n", "2")
+    assert code == 2
+    assert "FAIL" in out
+    assert not out.splitlines()[-1].startswith("PASS 2/2")
+
+
+def test_forced_pair_failure_gives_exit_two(capsys, monkeypatch):
+    # The same corruption in the Polynomial pair, which the exponent laws read.
     real = verify.tail_periodic_pair
 
     def corrupted(n, alphabet=(1, 2)):
@@ -103,10 +120,30 @@ def test_forced_failure_gives_exit_two(capsys, monkeypatch):
         return pair
 
     monkeypatch.setattr(verify, "tail_periodic_pair", corrupted)
-    code, out, _ = run_cli(capsys, "verify", "lemma3", "--max-n", "2")
+    code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-n", "2")
     assert code == 2
     assert "FAIL" in out
     assert not out.splitlines()[-1].startswith("PASS 2/2")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_deep_lemma3_stays_small():
+    # lemma 3 to its deepest budgeted index checks integer identities; the
+    # dense Polynomial pairs it once built took about 320 MiB here.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
+    argv = [sys.executable, "-m", "wordcf", "verify", "lemma3", "--max-n", "15"]
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryFile() as out, subprocess.Popen(
+        argv, stdout=out, stderr=subprocess.DEVNULL, env=env
+    ) as proc:
+        # wait4, unlike Popen.wait, returns the child's resource usage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        lines = out.read().decode().splitlines()
+    assert proc.returncode == 0
+    assert lines[-1] == "PASS 15/15"
+    assert usage.ru_maxrss / 1024 < 150
 
 
 def test_quartic_command(capsys):

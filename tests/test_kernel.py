@@ -100,3 +100,17 @@ def test_matmul_strips_cancelled_top(p):
     A = [[[1, 1], [0, 1]]]
     B = [[[1]], [[p - 1]]]
     assert _kernel.matmul(A, B, p) == [[[1]]]
+
+
+def test_signed_digits_read_back_balanced_coefficients():
+    # Any coefficients in [-128, 127] with a nonzero top are the balanced
+    # base-256 digits of their value at T = 256, the extremes included.
+    rng = random.Random("signed-digits")
+    cases = [[], [1], [-1], [127], [-128], [0, 0, 5], [-128] * 9, [127] * 9, [5, -1, 0, 0, -128, 1]]
+    for _ in range(200):
+        length = rng.choice((1, 2, 3, 8, 31, 300))
+        digits = [rng.choice((-128, 127, 0, rng.randrange(-128, 128))) for _ in range(length)]
+        cases.append(_strip(digits))
+    for digits in cases:
+        value = sum(c << (8 * k) for k, c in enumerate(digits))
+        assert _kernel.signed_digits(value) == digits

@@ -151,6 +151,40 @@ def test_power_over_cost_budget_fails_before_squaring():
     assert parse_poly("(T+1)^500").evaluate(1) == 2**500
 
 
+@pytest.mark.parametrize(
+    "field, text, k",
+    [
+        (QQ, "T", 0),
+        (QQ, "T", 13),
+        (QQ, "T", -3),
+        (QQ, "-T^2", 5),
+        (QQ, "(2/3)*T^3", 4),
+        (QQ, "2/T", 4),
+        (QQ, "3/T^2", -3),
+        (QQ, "-5", 7),
+        (GF(2), "T^3", 6),
+        (GF(3), "2*T", 5),
+        (GF(3), "2/T^2", -4),
+        (GF(7), "3*T^2", 9),
+        (GF(7), "T/5", -2),
+    ],
+)
+def test_monomial_power_matches_repeated_product(field, text, k):
+    from wordcf.poly import _rf_pow
+
+    value = parse_ratfunc(text, field)
+    step = value if k >= 0 else value.invert()
+    expected = RationalFunction.from_poly(Polynomial.one(field))
+    for _ in range(abs(k)):
+        expected = expected * step
+    assert _rf_pow(value, k) == expected
+
+
+def test_monomial_power_of_huge_exponent_reduces_the_scalar():
+    assert parse_poly("3^1000000000000", GF(7)) == Polynomial(GF(7), [pow(3, 10**12, 7)])
+    assert parse_poly("(3*T)^999999", GF(7)) == Polynomial.monomial(GF(7), pow(3, 999999, 7), 999999)
+
+
 def test_parse_rejects_garbage():
     from wordcf.poly import ParseError
 

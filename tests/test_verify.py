@@ -4,11 +4,52 @@ from fractions import Fraction
 import pytest
 
 from wordcf.fields import GF, QQ
-from wordcf.poly import Polynomial, parse_poly, poly_gcd
+from wordcf.poly import Polynomial, format_poly, parse_poly, poly_gcd
 from wordcf.series import PrecisionError
 from wordcf.cf import cf_of_series, convergents
 from wordcf.words import first_difference_rank, lengths, prefix
 from wordcf import verify
+
+
+def _at_x(p):
+    """An integer polynomial's value at T = 2^8."""
+    assert p.den == 1
+    return sum(c << (8 * k) for k, c in enumerate(p.ints))
+
+
+def _lemma3_oracle(n):
+    """The lemma 3 check on Polynomial pairs: the reference for the packed
+    check.  The pairs are looked up when called, so a test can rebind them."""
+    field = QQ
+    ell = lengths(n + 2)
+    pair1, pair1p = verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)
+    pair2, pair2p = verify.tail_periodic_pair(n + 1), verify.pure_periodic_pair(n + 1)
+    t_minus_1 = Polynomial(field, [-1, 1])
+    delta_expected = t_minus_1 if n % 2 == 0 else -t_minus_1
+    delta = verify.cross_product_delta(n)
+    len_f_next = (ell[n + 1] + ell[n] - 1) // 2
+    len_v_next = ell[n + 1] + 1
+    len_g = (ell[n] + ell[n - 1] + 3) // 2
+    p_n = Polynomial.monomial(field, 1, len_f_next + 1 + len_v_next) + Polynomial.monomial(
+        field, 1, len_f_next + 1
+    )
+    q_n = Polynomial.monomial(field, 1, len_g)
+    rec = [
+        pair2p.s == p_n * pair2.s + pair1p.s,
+        pair2.s == q_n * pair1p.s - pair1.s,
+        pair2p.r == p_n * pair2.r + pair1p.r,
+        pair2.r == q_n * pair1p.r - pair1.r,
+    ]
+    delta_ok = delta == delta_expected
+    gcd_rs = "1" if delta_ok and pair1.r.evaluate(1) != 0 else "?"
+    gcd_rsp = "1" if delta_ok and pair1p.r.evaluate(1) != 0 else "?"
+    expected = f"delta={format_poly(delta_expected)};rec=ok,ok,ok,ok;gcd=1,1"
+    actual = (
+        f"delta={format_poly(delta)};"
+        f"rec={','.join('ok' if r else 'FAIL' for r in rec)};"
+        f"gcd={gcd_rs},{gcd_rsp}"
+    )
+    return verify.CheckReport("lemma3", n, expected, actual)
 
 
 class TestApproximantPairs:
@@ -93,6 +134,52 @@ class TestLemma3:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_small_indices(self, n):
         assert verify.check_lemma3(n).passed
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_packed_check_matches_polynomial_oracle(self, n):
+        assert verify.check_lemma3(n) == _lemma3_oracle(n)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_packed_pairs_are_the_pairs_at_two_to_the_eight(self, n):
+        for packed, pair in (
+            (verify.packed_tail_pair(n), verify.tail_periodic_pair(n)),
+            (verify.packed_pure_pair(n), verify.pure_periodic_pair(n)),
+        ):
+            assert packed.r == _at_x(pair.r)
+            assert verify._times(1, packed.den) == _at_x(pair.s)
+
+    def test_corrupted_numerator_fails_identically_in_both_forms(self, monkeypatch):
+        real_pair, real_packed = verify.tail_periodic_pair, verify.packed_tail_pair
+
+        def corrupted_pair(n, alphabet=(1, 2)):
+            pair = real_pair(n, alphabet)
+            return pair._replace(r=pair.r + Polynomial.one(QQ)) if n == 1 else pair
+
+        def corrupted_packed(n):
+            pair = real_packed(n)
+            return pair._replace(r=pair.r + 1) if n == 1 else pair
+
+        monkeypatch.setattr(verify, "tail_periodic_pair", corrupted_pair)
+        monkeypatch.setattr(verify, "packed_tail_pair", corrupted_packed)
+        report = verify.check_lemma3(1)
+        assert report == _lemma3_oracle(1)
+        assert not report.passed
+        # delta = (r + 1) s' - r' s = -(T - 1) + s' = T^7 - T, read back
+        # from the value's digits, not taken from the expected string.
+        assert report.actual.startswith("delta=1*T^7 + -1*T^1;rec=ok,ok,ok,FAIL;")
+
+    @pytest.mark.parametrize("word", ["1231", "12 2", "0", "1\u00e92"])
+    def test_packing_rejects_other_letters(self, word):
+        with pytest.raises(ValueError, match="word symbols"):
+            verify._packed_word(word)
+
+    def test_suite_builds_no_polynomial_pair(self):
+        for cache in (verify.tail_periodic_pair, verify.pure_periodic_pair):
+            cache.cache_clear()
+        reports, _ = verify.run_suite("lemma3", 12)
+        assert all(rep.passed for rep in reports) and len(reports) == 12
+        assert verify.tail_periodic_pair.cache_info().currsize == 0
+        assert verify.pure_periodic_pair.cache_info().currsize == 0
 
 
 class TestTheorem3:

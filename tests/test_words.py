@@ -215,6 +215,16 @@ def test_theta_series_letters():
     assert s3.coeffs == tuple(v % 3 for v in map(int, prefix(9)))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(257)])
+@pytest.mark.parametrize("prec", [1, 2, 9, 100])
+def test_theta_series_matches_coerced_letters(field, prec):
+    # Reference: the constructor path, which coerces every letter (over
+    # GF(2) the letter 2 is zero).
+    from wordcf.series import LaurentSeries
+
+    assert theta_series(prec, field) == LaurentSeries(field, -1, map(int, prefix(prec)), -prec)
+
+
 @pytest.mark.parametrize(
     "alphabet, field",
     [((1, 2), None), ((1, -1), None), ((3, 1), GF(3)), ((2, 5), GF(5)), ((4, 6), GF(7))],
