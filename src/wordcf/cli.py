@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .fields import GF, QQ
 from .poly import ParseError
@@ -60,85 +61,203 @@ def _parse_pair(text: str) -> tuple:
     return (a, b)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="wordcf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command(_Parser):
+    """A subcommand's parser.  Its arguments are added when it first parses,
+    so a job builds only the subcommand it runs; the names and help strings
+    that the top-level usage and help list are registered for all of them.
+    """
 
-    def common(p, run):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None, help="write output to this path")
-        p.set_defaults(run=run)
+    def __init__(self, *, arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._arguments = arguments
 
-    p_word = sub.add_parser("word", help="emit a block or a prefix of the word")
-    p_word.add_argument("--n", type=int, default=None, help="block index")
-    p_word.add_argument("--prefix", type=int, default=None, help="prefix length")
-    common(p_word, _word)
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
-    p_theta = sub.add_parser("theta", help="emit the generating series")
-    p_theta.add_argument("--prec", type=int, default=32)
-    p_theta.add_argument("--field", type=_parse_field, default="Q")
-    common(p_theta, _theta)
 
-    p_cf = sub.add_parser("cf", help="expand the series or a rational function")
-    p_cf.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
-    p_cf.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
-    p_cf.add_argument("--field", type=_parse_field, default="Q")
-    common(p_cf, _cf)
+def _common(p, run):
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--output", default=None, help="write output to this path")
+    p.set_defaults(run=run)
 
-    p_conv = sub.add_parser("convergents", help="convergent table of an expansion")
-    p_conv.add_argument("--ratfunc", default=None)
-    p_conv.add_argument("--prec", type=int, default=200)
-    p_conv.add_argument("--field", type=_parse_field, default="Q")
-    common(p_conv, _convergents)
 
-    p_measure = sub.add_parser("measure", help="irrationality-measure estimates")
-    p_measure.add_argument("--max-n", type=int, default=6)
-    p_measure.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
-    common(p_measure, _measure)
+def _word_arguments(p):
+    p.add_argument("--n", type=int, default=None, help="block index")
+    p.add_argument("--prefix", type=int, default=None, help="prefix length")
+    _common(p, _word)
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
+
+def _theta_arguments(p):
+    p.add_argument("--prec", type=int, default=32)
+    p.add_argument("--field", type=_parse_field, default="Q")
+    _common(p, _theta)
+
+
+def _cf_arguments(p):
+    p.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
+    p.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
+    p.add_argument("--field", type=_parse_field, default="Q")
+    _common(p, _cf)
+
+
+def _convergents_arguments(p):
+    p.add_argument("--ratfunc", default=None)
+    p.add_argument("--prec", type=int, default=200)
+    p.add_argument("--field", type=_parse_field, default="Q")
+    _common(p, _convergents)
+
+
+def _measure_arguments(p):
+    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
+    _common(p, _measure)
+
+
+def _verify_arguments(p):
     # verify.SUITE_ORDER plus "all", spelled out so that parsing does not
     # import the suite; a test keeps the two in step.
-    p_verify.add_argument(
+    p.add_argument(
         "selection",
         choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
     )
-    p_verify.add_argument("--max-n", type=int, default=None)
-    common(p_verify, _verify)
+    p.add_argument("--max-n", type=int, default=None)
+    _common(p, _verify)
 
-    p_quartic = sub.add_parser("quartic", help="root and expansion of x^4+x^2-Tx+1")
-    p_quartic.add_argument("--p", type=int, default=3)
-    p_quartic.add_argument("--prec", type=int, default=1000)
-    p_quartic.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
-    common(p_quartic, _quartic)
 
-    p_alpha = sub.add_parser("alphabet", help="rebuild the first approximant over (a, b)")
-    p_alpha.add_argument("--pair", type=_parse_pair, default="1,-1")
-    common(p_alpha, _alphabet)
+def _quartic_arguments(p):
+    p.add_argument("--p", type=int, default=3)
+    p.add_argument("--prec", type=int, default=1000)
+    p.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
+    _common(p, _quartic)
 
+
+def _alphabet_arguments(p):
+    p.add_argument("--pair", type=_parse_pair, default="1,-1")
+    _common(p, _alphabet)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="wordcf", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, help, arguments in (
+        ("word", "emit a block or a prefix of the word", _word_arguments),
+        ("theta", "emit the generating series", _theta_arguments),
+        ("cf", "expand the series or a rational function", _cf_arguments),
+        ("convergents", "convergent table of an expansion", _convergents_arguments),
+        ("measure", "irrationality-measure estimates", _measure_arguments),
+        ("verify", "run the verification suite", _verify_arguments),
+        ("quartic", "root and expansion of x^4+x^2-Tx+1", _quartic_arguments),
+        ("alphabet", "rebuild the first approximant over (a, b)", _alphabet_arguments),
+    ):
+        sub.add_parser(name, help=help, arguments=arguments)
     return parser
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+# Output goes out in batches of about this many characters: one write per
+# batch, however many pieces a handler yields.
+_BATCH = 1 << 16
 
 
-def _json(payload) -> str:
+def _write(args, pieces, bits: int = 0) -> None:
+    """Write the output, given as an iterable of string pieces, to
+    ``--output`` or stdout in batches of about _BATCH characters.  The file
+    is opened only when the first batch is ready.
+
+    ``bits`` bounds the bit length of every int the pieces format.  When
+    one could exceed the interpreter's int-to-str limit, every piece is
+    formatted before the first write, so that the ValueError leaves stdout
+    empty and the file untouched.
+    """
+    limit = sys.get_int_max_str_digits()
+    # log10(2) < 0.30103, so an int of ``bits`` bits has at most this many
+    # decimal digits.
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        pieces = list(pieces)
+    out = None
+    try:
+        for batch in _batches(pieces):
+            if out is None:
+                out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+            out.write(batch)
+    finally:
+        if args.output and out is not None:
+            out.close()
+
+
+def _batches(pieces):
+    """The pieces joined into strings of about _BATCH characters; at least
+    one, the last possibly empty."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
+def _bits(polys) -> int:
+    """The largest bit length of a numerator or denominator in polys."""
+    return max(
+        (max(max(map(int.bit_length, p.ints), default=0), p.den.bit_length()) for p in polys),
+        default=0,
+    )
+
+
+def _json(payload):
+    """``json.dumps(payload, indent=2)`` plus a newline, in pieces."""
+    yield from _json_pieces(payload, "")
+    yield "\n"
+
+
+def _json_pieces(value, pad):
+    """The pieces of ``json.dumps(value, indent=2)``, each line indented by
+    ``pad`` after the first.  Dicts are written key by key; lists, tuples
+    and iterators element by element, each element as its own indented
+    dump, so a long list is never held as text.  Consecutive elements go
+    out together, in runs of about _BATCH characters."""
     import json
+    from json.encoder import encode_basestring_ascii as quote
 
-    return json.dumps(payload, indent=2)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        head = "{"
+        for key, item in value.items():
+            yield f"{head}\n{inner}{json.dumps(key)}: "
+            yield from _json_pieces(item, inner)
+            head = ","
+        yield "{}" if head == "{" else f"\n{pad}}}"
+    elif isinstance(value, (str, int, float)) or value is None:
+        yield json.dumps(value)
+    else:
+        encode = json.JSONEncoder(indent=2).encode
+        indent = "\n" + inner
+        sep = "," + indent
+        head = "[" + indent
+        run, size = [], 0
+        for element in value:
+            # A string is dumped as json.dumps does it, by one C call.
+            text = quote(element) if type(element) is str else encode(element).replace("\n", indent)
+            run.append(text)
+            size += len(text)
+            if size >= _BATCH:
+                yield head + sep.join(run)
+                head, run, size = sep, [], 0
+        if run:
+            yield head + sep.join(run)
+            head = sep
+        yield "[]" if head[0] == "[" else f"\n{pad}]"
 
 
 def _series_payload(series) -> dict:
-    fmt = series.field.format_scalar
     return {
         "top": series.top,
         "known_down": series.known_down,
-        "coefficients": [fmt(c) for c in series.coeffs],
+        "coefficients": map(series.field.format_scalar, series.coeffs),
     }
 
 
@@ -165,7 +284,7 @@ def _word(args) -> int:
     if (args.n is None) == (args.prefix is None):
         raise UsageError("word needs exactly one of --n or --prefix")
     w = block(args.n) if args.n is not None else prefix(args.prefix)
-    _emit(args, _json({"word": w}) if args.format == "json" else w)
+    _write(args, _json({"word": w}) if args.format == "json" else (w, "\n"))
     return 0
 
 
@@ -173,7 +292,10 @@ def _theta(args) -> int:
     from .words import theta_series
 
     series = theta_series(args.prec, args.field)
-    _emit(args, _json(_series_payload(series)) if args.format == "json" else str(series))
+    if args.format == "json":
+        _write(args, _json(_series_payload(series)))
+    else:
+        _write(args, chain(series.text_pieces(), ("\n",)))
     return 0
 
 
@@ -181,18 +303,19 @@ def _cf(args) -> int:
     from .poly import format_poly
 
     cf, expansion = _expansion_for(args)
-    quotients = [format_poly(q) for q in cf.quotients]
+    quotients = cf.quotients
     if args.format == "json":
-        payload: dict = {"partial_quotients": quotients}
+        payload: dict = {"partial_quotients": map(format_poly, quotients)}
         if expansion is not None:
             payload.update(
                 emitted=expansion.emitted,
                 precision_consumed=expansion.precision_consumed,
                 terminated=expansion.terminated,
             )
-        _emit(args, _json(payload))
+        pieces = _json(payload)
     else:
-        _emit(args, "\n".join(quotients))
+        pieces = (format_poly(q) + "\n" for q in quotients)
+    _write(args, pieces, _bits(quotients))
     return 0
 
 
@@ -201,14 +324,20 @@ def _convergents(args) -> int:
     from .poly import format_poly
 
     cf, _ = _expansion_for(args)
-    rows = [
-        {"n": i, "x": format_poly(x), "y": format_poly(y), "degY": y.degree}
-        for i, (x, y) in enumerate(convergents(cf).rows)
-    ]
+    # The table is kept (it is far smaller than its text); the rows are
+    # formatted one at a time as they are written.
+    rows = convergents(cf).rows
     if args.format == "json":
-        _emit(args, _json(rows))
+        pieces = _json(
+            {"n": i, "x": format_poly(x), "y": format_poly(y), "degY": y.degree}
+            for i, (x, y) in enumerate(rows)
+        )
     else:
-        _emit(args, "\n".join(f"n={r['n']} degY={r['degY']} x={r['x']} y={r['y']}" for r in rows))
+        pieces = (
+            f"n={i} degY={y.degree} x={format_poly(x)} y={format_poly(y)}\n"
+            for i, (x, y) in enumerate(rows)
+        )
+    _write(args, pieces, _bits(p for row in rows for p in row))
     return 0
 
 
@@ -237,9 +366,9 @@ def _measure(args) -> int:
         for t in terms
     ]
     if args.format == "json":
-        _emit(args, _json(rows))
+        _write(args, _json(rows))
     else:
-        _emit(args, "\n".join(f"n={r['n']} nu={r['nu']} max={r['running_max']}" for r in rows))
+        _write(args, ("\n".join(f"n={r['n']} nu={r['nu']} max={r['running_max']}" for r in rows), "\n"))
     return 0
 
 
@@ -267,13 +396,14 @@ def _quartic(args) -> int:
             "p": args.p,
             "prec": args.prec,
             "root": _series_payload(expansion.root),
-            "partial_quotients": [format_poly(q) for q in expansion.cf.quotients],
-            "lambda": list(expansion.lambdas),
-            "u": list(expansion.exponents),
+            "partial_quotients": map(format_poly, expansion.cf.quotients),
+            "lambda": expansion.lambdas,
+            "u": expansion.exponents,
             "monomial": expansion.monomial,
             "reports": [r.to_dict() for r in reports],
         }
-        _emit(args, _json(payload))
+        # Every coefficient printed is a residue mod p.
+        _write(args, _json(payload), args.p.bit_length())
     else:
         lines = [
             f"certified quotients: {len(expansion.cf.quotients) - 1}",
@@ -284,7 +414,7 @@ def _quartic(args) -> int:
         lines += _report_lines(reports)
         k = sum(r.passed for r in reports)
         lines.append(f"PASS {k}/{len(reports)}")
-        _emit(args, "\n".join(lines))
+        _write(args, ("\n".join(lines), "\n"))
     return 0 if all(r.passed for r in reports) else 2
 
 
@@ -302,7 +432,7 @@ def _alphabet(args) -> int:
             "coprime": variant.coprime,
             "reports": [variant.report.to_dict()],
         }
-        _emit(args, _json(payload))
+        _write(args, _json(payload))
     else:
         lines = [
             f"alphabet: {variant.alphabet[0]},{variant.alphabet[1]}",
@@ -312,7 +442,7 @@ def _alphabet(args) -> int:
             f"coprime: {'yes' if variant.coprime else 'no'}",
             f"PASS {int(variant.report.passed)}/1",
         ]
-        _emit(args, "\n".join(lines))
+        _write(args, ("\n".join(lines), "\n"))
     return 0 if variant.report.passed else 2
 
 
@@ -328,15 +458,14 @@ def _emit_reports(args, reports, findings) -> int:
     passed = sum(r.passed for r in reports)
     summary = f"PASS {passed}/{len(reports)}"
     if args.format == "json":
-        body = _json([r.to_dict() for r in reports])
-        _emit(args, body + "\n" + summary)
+        _write(args, chain(_json([r.to_dict() for r in reports]), (summary, "\n")))
         for finding in findings:
             print(f"FINDING: {finding}", file=sys.stderr)
     else:
         lines = _report_lines(reports)
         lines += [f"FINDING: {finding}" for finding in findings]
         lines.append(summary)
-        _emit(args, "\n".join(lines))
+        _write(args, ("\n".join(lines), "\n"))
     return 0 if passed == len(reports) else 2
 
 

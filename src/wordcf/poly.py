@@ -566,12 +566,65 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
-        while self.peek() in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        # The polynomial terms of a sum go into one coefficient accumulator
+        # per denominator and make one Polynomial; a term with a nonconstant
+        # denominator takes RationalFunction arithmetic.  A chain of
+        # additions would copy the growing sum once per term.
+        sums = {}  # den -> int numerators, by exponent
+        rest = None
+        sign = 1
+        while True:
+            if not self.canonical_term(sums, sign):
+                value = self.term()
+                if not sums and rest is None and self.peek() not in "+-":
+                    return value
+                if value.den.degree == 0:
+                    _accumulate(sums, value.num, sign)
+                elif rest is None:
+                    rest = value if sign == 1 else -value
+                else:
+                    rest = rest + value if sign == 1 else rest - value
+            if self.peek() not in "+-":
+                break
+            sign = 1 if self.take()[0] == "+" else -1
+        if not sums:
+            return rest
+        total = RationalFunction.from_poly(_poly_of_sums(self.field, sums))
+        return total if rest is None else rest + total
+
+    def canonical_term(self, sums, sign) -> bool:
+        """Read a term of the text format, ``[-]c[/d]*T^k`` up to the next
+        ``+``, ``-``, ``)`` or the end, straight into ``sums``; False, with
+        nothing read, for any other term.  The values, the checks and
+        their order are those of ``term``: the division by d, then the
+        degree budget of T^k."""
+        tokens, i = self.tokens, self.pos
+        while tokens[i][0] in "+-":
+            if tokens[i][0] == "-":
+                sign = -sign
+            i += 1
+        if tokens[i][0] != "int":
+            return False
+        j = i + 3 if tokens[i + 1][0] == "/" and tokens[i + 2][0] == "int" else i + 1
+        if (
+            [t[0] for t in tokens[j : j + 4]] != ["*", "T", "^", "int"]
+            or tokens[j + 4][0] not in ("+", "-", ")", "end")
+        ):
+            return False
+        field = self.field
+        c = field.coerce(sign * int(tokens[i][1]))
+        if j > i + 1:
+            c = field.div(c, field.coerce(int(tokens[i + 2][1])))
+        k = int(tokens[j + 3][1])
+        if k > MAX_POWER_DEGREE:
+            raise ValueError(f"power of degree above {MAX_POWER_DEGREE} in expression")
+        self.pos = j + 4
+        num, den = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        acc = sums.setdefault(den, [])
+        if len(acc) <= k:
+            acc.extend([0] * (k + 1 - len(acc)))
+        acc[k] += num
+        return True
 
     def term(self):
         value = self.unary()
@@ -621,6 +674,26 @@ class _Parser:
             self.depth -= 1
             return value
         raise ParseError(f"unexpected token {self.tokens[self.pos][1]!r}")
+
+
+def _accumulate(sums, p: Polynomial, sign: int) -> None:
+    """Add sign * p to the accumulator of its denominator."""
+    acc = sums.setdefault(p.den, [])
+    ints = p.ints
+    if len(acc) < len(ints):
+        acc.extend([0] * (len(ints) - len(acc)))
+    for k in compress(range(len(ints)), ints):
+        acc[k] += sign * ints[k]
+
+
+def _poly_of_sums(field, sums) -> Polynomial:
+    """The Polynomial sum of the accumulators, over their lcm."""
+    den = lcm(*sums)
+    total = [0] * max(map(len, sums.values()))
+    for d, acc in sums.items():
+        m = den // d
+        total[: len(acc)] = [t + m * c for t, c in zip(total, acc)]
+    return Polynomial._over(field, field.reduce_coeffs(total), den)
 
 
 # Highest degree a power in a parsed expression may reach, far above any

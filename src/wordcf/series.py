@@ -27,6 +27,10 @@ from .fields import check_same_field
 from .poly import Polynomial
 
 
+# Coefficients per piece of a series' text.
+_TEXT_CHUNK = 4096
+
+
 class PrecisionError(ArithmeticError):
     """A result would depend on coefficients below the known precision."""
 
@@ -211,12 +215,21 @@ class LaurentSeries:
         )
 
     def __str__(self):
+        return "".join(self.text_pieces())
+
+    def text_pieces(self):
+        """``str(self)`` in pieces of up to _TEXT_CHUNK coefficients each,
+        so a long series is never held as one list of terms."""
         fmt = self.field.format_scalar
-        terms = [
-            f"{fmt(c)}*T^{self.top - i}" for i, c in enumerate(self.coeffs) if c
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(T^{self.known_down - 1})"
+        top, coeffs = self.top, self.coeffs
+        sep = ""
+        for start in range(0, len(coeffs), _TEXT_CHUNK):
+            chunk = coeffs[start : start + _TEXT_CHUNK]
+            terms = [f"{fmt(c)}*T^{top - i}" for i, c in enumerate(chunk, start) if c]
+            if terms:
+                yield sep + " + ".join(terms)
+                sep = " + "
+        yield f"{sep or '0 + '}O(T^{self.known_down - 1})"
 
     def __repr__(self):
         return (

@@ -225,7 +225,10 @@ def test_unknown_command_is_usage_error(capsys):
 def test_verify_choices_are_the_suite_order():
     # The parser spells the choices out so that it need not import the
     # suite; they must stay the suite's families, in its order, plus "all".
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    # A subcommand gets its arguments when it first parses.
+    parser = cli.build_parser()
+    parser.parse_args(["verify", "all"])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     (selection,) = [a for a in sub.choices["verify"]._actions if a.dest == "selection"]
     assert tuple(selection.choices) == (*verify.SUITE_ORDER, "all")
 
@@ -270,18 +273,18 @@ def test_module_entry_point(argv, code, out, err_start):
     assert (proc.stderr == "") == (code == 0)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["word", "--n", "3", "--output", "{missing}"],
-        ["measure", "--max-n", "2", "--csv", "{missing}"],
-        ["cf", "--ratfunc", "(" * 300 + "T" + ")" * 300],
-        ["cf", "--ratfunc", "T^99999999"],
-        ["quartic", "--p", "4"],
-        ["cf", "--field", "0"],
-        ["word", "--n", "30"],
-    ],
-)
+HOSTILE_ARGV = [
+    ["word", "--n", "3", "--output", "{missing}"],
+    ["measure", "--max-n", "2", "--csv", "{missing}"],
+    ["cf", "--ratfunc", "(" * 300 + "T" + ")" * 300],
+    ["cf", "--ratfunc", "T^99999999"],
+    ["quartic", "--p", "4"],
+    ["cf", "--field", "0"],
+    ["word", "--n", "30"],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_ARGV)
 def test_hostile_input_gives_one_line_error(tmp_path, argv):
     # Whatever the handler, bad input ends in exit 1 and one message line.
     proc = run_module([a.replace("{missing}", str(tmp_path / "missing" / "f")) for a in argv])
@@ -290,3 +293,117 @@ def test_hostile_input_gives_one_line_error(tmp_path, argv):
     assert proc.stderr.startswith(("error: ", "usage error: "))
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+def full_parser():
+    """The parser as built before subcommands got their arguments lazily:
+    every subcommand's arguments up front.  The oracle of the lazy one."""
+    parser = cli._Parser(prog="wordcf", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, run):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--output", default=None, help="write output to this path")
+        p.set_defaults(run=run)
+
+    p_word = sub.add_parser("word", help="emit a block or a prefix of the word")
+    p_word.add_argument("--n", type=int, default=None, help="block index")
+    p_word.add_argument("--prefix", type=int, default=None, help="prefix length")
+    common(p_word, cli._word)
+
+    p_theta = sub.add_parser("theta", help="emit the generating series")
+    p_theta.add_argument("--prec", type=int, default=32)
+    p_theta.add_argument("--field", type=cli._parse_field, default="Q")
+    common(p_theta, cli._theta)
+
+    p_cf = sub.add_parser("cf", help="expand the series or a rational function")
+    p_cf.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
+    p_cf.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
+    p_cf.add_argument("--field", type=cli._parse_field, default="Q")
+    common(p_cf, cli._cf)
+
+    p_conv = sub.add_parser("convergents", help="convergent table of an expansion")
+    p_conv.add_argument("--ratfunc", default=None)
+    p_conv.add_argument("--prec", type=int, default=200)
+    p_conv.add_argument("--field", type=cli._parse_field, default="Q")
+    common(p_conv, cli._convergents)
+
+    p_measure = sub.add_parser("measure", help="irrationality-measure estimates")
+    p_measure.add_argument("--max-n", type=int, default=6)
+    p_measure.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
+    common(p_measure, cli._measure)
+
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify.add_argument(
+        "selection",
+        choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
+    )
+    p_verify.add_argument("--max-n", type=int, default=None)
+    common(p_verify, cli._verify)
+
+    p_quartic = sub.add_parser("quartic", help="root and expansion of x^4+x^2-Tx+1")
+    p_quartic.add_argument("--p", type=int, default=3)
+    p_quartic.add_argument("--prec", type=int, default=1000)
+    p_quartic.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
+    common(p_quartic, cli._quartic)
+
+    p_alpha = sub.add_parser("alphabet", help="rebuild the first approximant over (a, b)")
+    p_alpha.add_argument("--pair", type=cli._parse_pair, default="1,-1")
+    common(p_alpha, cli._alphabet)
+
+    return parser
+
+
+COMMANDS = ["word", "theta", "cf", "convergents", "measure", "verify", "quartic", "alphabet"]
+
+PARSER_ARGV = [
+    *HOSTILE_ARGV,
+    [],
+    ["--help"],
+    ["-h", "cf"],
+    ["frobnicate"],
+    ["--format", "json", "cf"],
+    ["--bogus", "word", "--n", "1"],
+    ["cf", "--bogus"],
+    ["cf", "--prec"],
+    ["cf", "--prec", "x"],
+    ["cf", "--field", "6"],
+    ["cf", "cf"],
+    ["verify"],
+    ["verify", "nope"],
+    ["verify", "all", "extra"],
+    ["word", "--n", "2", "--prefix", "3"],
+    ["word", "--n", "2", "--format", "xml"],
+    ["alphabet", "--pair", "1"],
+    ["alphabet", "--pair", "2,2"],
+    ["quartic", "--p", "5", "--prec", "300", "--k", "7", "--format", "json", "--output", "o"],
+    ["measure", "--max-n", "3", "--csv", "c.csv"],
+    *[[command, "--help"] for command in COMMANDS],
+    *[[command] for command in COMMANDS],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """What parsing argv gives: the namespace, the usage error, or the exit
+    code and text of --help."""
+    try:
+        return "args", vars(parser.parse_args(argv))
+    except cli.UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV)
+def test_parser_matches_the_full_parser(argv, capsys):
+    # Only the chosen subcommand gets its arguments; namespaces, usage
+    # errors and every help text must be those of the full parser.
+    assert parse_outcome(cli.build_parser(), argv, capsys) == parse_outcome(full_parser(), argv, capsys)
+
+
+def test_only_the_chosen_subcommand_gets_arguments():
+    parser = cli.build_parser()
+    parser.parse_args(["word", "--n", "1"])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # An unbuilt subparser has only its -h action.
+    assert {name for name, p in sub.choices.items() if len(p._actions) > 1} == {"word"}

@@ -1,0 +1,321 @@
+"""Streamed output: the writer against the whole-string path it replaced,
+a formatting failure before the first byte, and peak memory that does not
+grow with the size of the output."""
+
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import wordcf
+from wordcf import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
+
+
+# ------------------------------------------------------------------ oracle
+# The handlers' output as it was built before streaming: the whole text as
+# one string (one json.dumps for --format json), written with a newline.
+
+
+def _legacy_json(payload) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _legacy_series_payload(series) -> dict:
+    fmt = series.field.format_scalar
+    return {
+        "top": series.top,
+        "known_down": series.known_down,
+        "coefficients": [fmt(c) for c in series.coeffs],
+    }
+
+
+def _legacy_series_text(series) -> str:
+    fmt = series.field.format_scalar
+    terms = [f"{fmt(c)}*T^{series.top - i}" for i, c in enumerate(series.coeffs) if c]
+    body = " + ".join(terms) if terms else "0"
+    return f"{body} + O(T^{series.known_down - 1})"
+
+
+def _legacy_report_lines(reports):
+    return [
+        f"{r.check} n={r.n}: {'PASS' if r.passed else 'FAIL'} "
+        f"expected={r.expected} actual={r.actual}"
+        for r in reports
+    ]
+
+
+def legacy_output(argv) -> str:
+    from wordcf import verify
+    from wordcf.cf import convergents
+    from wordcf.poly import format_poly
+    from wordcf.words import block, prefix, theta_series
+
+    args = cli.build_parser().parse_args(argv)
+    as_json = args.format == "json"
+    if args.command == "word":
+        w = block(args.n) if args.n is not None else prefix(args.prefix)
+        text = _legacy_json({"word": w}) if as_json else w
+    elif args.command == "theta":
+        series = theta_series(args.prec, args.field)
+        text = _legacy_json(_legacy_series_payload(series)) if as_json else _legacy_series_text(series)
+    elif args.command == "cf":
+        cf, expansion = cli._expansion_for(args)
+        quotients = [format_poly(q) for q in cf.quotients]
+        if as_json:
+            payload = {"partial_quotients": quotients}
+            if expansion is not None:
+                payload.update(
+                    emitted=expansion.emitted,
+                    precision_consumed=expansion.precision_consumed,
+                    terminated=expansion.terminated,
+                )
+            text = _legacy_json(payload)
+        else:
+            text = "\n".join(quotients)
+    elif args.command == "convergents":
+        cf, _ = cli._expansion_for(args)
+        rows = [
+            {"n": i, "x": format_poly(x), "y": format_poly(y), "degY": y.degree}
+            for i, (x, y) in enumerate(convergents(cf).rows)
+        ]
+        if as_json:
+            text = _legacy_json(rows)
+        else:
+            text = "\n".join(f"n={r['n']} degY={r['degY']} x={r['x']} y={r['y']}" for r in rows)
+    elif args.command == "quartic":
+        expansion = verify.quartic_expansion(args.p, args.prec)
+        reports = [verify.quartic_lambda_report(expansion, args.k)] if args.p == 3 else []
+        if as_json:
+            text = _legacy_json({
+                "p": args.p,
+                "prec": args.prec,
+                "root": _legacy_series_payload(expansion.root),
+                "partial_quotients": [format_poly(q) for q in expansion.cf.quotients],
+                "lambda": list(expansion.lambdas),
+                "u": list(expansion.exponents),
+                "monomial": expansion.monomial,
+                "reports": [r.to_dict() for r in reports],
+            })
+        else:
+            lines = [
+                f"certified quotients: {len(expansion.cf.quotients) - 1}",
+                f"monomial quotients: {'yes' if expansion.monomial else 'no'}",
+                "lambda: " + "".join(str(c) for c in expansion.lambdas),
+                "u: " + ",".join(str(u) for u in expansion.exponents),
+            ]
+            lines += _legacy_report_lines(reports)
+            lines.append(f"PASS {sum(r.passed for r in reports)}/{len(reports)}")
+            text = "\n".join(lines)
+    elif args.command == "verify":
+        reports, findings = verify.run_suite(args.selection, args.max_n)
+        summary = f"PASS {sum(r.passed for r in reports)}/{len(reports)}"
+        if as_json:
+            text = _legacy_json([r.to_dict() for r in reports]) + "\n" + summary
+        else:
+            lines = _legacy_report_lines(reports)
+            lines += [f"FINDING: {finding}" for finding in findings]
+            lines.append(summary)
+            text = "\n".join(lines)
+    else:
+        raise AssertionError(f"no oracle for {args.command}")
+    return text + "\n"
+
+
+RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
+
+WRITER_CASES = [
+    ["word", "--n", "0"],  # one empty line
+    ["word", "--n", "6"],
+    ["word", "--prefix", "100000"],
+    ["theta", "--prec", "40"],
+    ["theta", "--prec", "3000", "--field", "2"],
+    ["theta", "--prec", "70000", "--field", "3"],  # more than one 4096-term piece and batch
+    ["cf", "--ratfunc", RATFUNC],
+    ["cf", "--ratfunc", "0"],  # the zero polynomial
+    ["cf", "--ratfunc", "T^3 + 1/2"],
+    ["cf", "--prec", "300"],
+    ["cf", "--prec", "2000", "--field", "3"],
+    ["convergents", "--ratfunc", RATFUNC],
+    ["convergents", "--ratfunc", "0"],
+    ["convergents", "--ratfunc", "T^2 + 3"],  # a single row
+    ["convergents", "--prec", "400", "--field", "5"],
+    ["quartic", "--prec", "300", "--k", "20"],
+    ["quartic", "--p", "13", "--prec", "200"],  # "reports": [] in JSON
+    ["verify", "lemma3", "--max-n", "6"],
+    ["verify", "all", "--max-n", "2"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", WRITER_CASES, ids=" ".join)
+def test_writer_matches_whole_string_output(argv, fmt, capsys, tmp_path):
+    argv = [*argv, "--format", fmt]
+    expected = legacy_output(argv)
+    capsys.readouterr()
+
+    code = cli.main(argv)
+    out, _ = capsys.readouterr()
+    assert code in (0, 2)
+    assert out == expected
+
+    path = tmp_path / "out.txt"
+    code = cli.main([*argv, "--output", str(path)])
+    out, _ = capsys.readouterr()
+    assert code in (0, 2) and out == ""
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        {"a": [], "b": {}, "c": {"d": [1, 2]}},
+        [{"n": 0, "x": "0", "nested": [[], {"k": [True, None, "q\"uo\nte", "é"]}]}],
+        ("a", "b"),
+        {"list": [{"n": i, "s": str(i) * i} for i in range(300)], "flag": False},
+    ],
+)
+def test_json_pieces_match_one_dumps(value):
+    assert "".join(cli._json_pieces(value, "")) == json.dumps(value, indent=2)
+    # An iterator in place of a list reads the same.
+    if isinstance(value, dict) and "list" in value:
+        lazy = dict(value, list=iter(value["list"]))
+        assert "".join(cli._json_pieces(lazy, "")) == json.dumps(value, indent=2)
+
+
+class _Recorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_writer_sends_bounded_batches(monkeypatch):
+    # Many short pieces go out in a few writes of about _BATCH characters;
+    # a piece longer than a batch goes out alone.
+    pieces = ["x" * 10] * 50_000 + ["y" * (3 * cli._BATCH)] + ["z"]
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    cli._write(cli.build_parser().parse_args(["word", "--n", "1"]), iter(pieces))
+    assert out.getvalue() == "".join(pieces)
+    assert len(out.sizes) < 2 + 10 * 50_000 // cli._BATCH + 2
+    assert max(out.sizes) < cli._BATCH + 3 * cli._BATCH + 10
+    assert all(size <= cli._BATCH + 10 for size in out.sizes[:-2])
+
+
+# ---------------------------------------------- failure before the first byte
+
+
+def dense_fraction(degree: int, seed: int) -> str:
+    """A dense random Q fraction: numerator of degree ``degree - 1`` over a
+    denominator of degree ``degree``, coefficients in [-9, 9]."""
+    rng = random.Random(f"test-output/{degree}/{seed}")
+
+    def poly(d):
+        coeffs = [rng.randint(-9, 9) for _ in range(d)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+        return " + ".join(f"{c}*T^{k}" for k, c in reversed(list(enumerate(coeffs))) if c)
+
+    return f"({poly(degree - 1)})/({poly(degree)})"
+
+
+def run_module(argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "wordcf", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        timeout=300,
+    )
+
+
+LIMIT_ERROR = (
+    b"error: Exceeds the limit (4300 digits) for integer string conversion; "
+    b"use sys.set_int_max_str_digits() to increase the limit\n"
+)
+
+
+@pytest.mark.parametrize("command", ["cf", "convergents"])
+def test_formatting_failure_writes_nothing(command, tmp_path):
+    # Degree 60 reaches quotient coefficients beyond 4300 digits: the job
+    # fails while formatting, and the writer must have written nothing.
+    argv = [command, "--ratfunc", dense_fraction(60, 0)]
+    proc = run_module(argv, PYTHONINTMAXSTRDIGITS="4300")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", LIMIT_ERROR)
+
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    missing = tmp_path / "missing.txt"
+    for path in (kept, missing):
+        proc = run_module([*argv, "--output", str(path)], PYTHONINTMAXSTRDIGITS="4300")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", LIMIT_ERROR)
+    assert kept.read_text() == "earlier output\n"
+    assert not missing.exists()
+
+    # The guard reads the live limit: without one, the same job succeeds.
+    proc = run_module(argv, PYTHONINTMAXSTRDIGITS="0")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.endswith(b"\n") and len(proc.stdout) > 10**5
+
+
+# ------------------------------------------------------------- peak memory
+
+
+# The job is started by a small launcher interpreter, not by this test
+# process: a child started with vfork or posix_spawn inherits the high-water
+# RSS of its parent's address space, which here would be pytest's.
+_LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "wordcf", *sys.argv[1:]]
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mib(argv) -> float:
+    """The max RSS of ``python -m wordcf argv`` in MiB (Linux units); its
+    stdout is discarded, and it must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=300,
+    )
+    code, kib = proc.stdout.split()
+    assert code == "0", (argv, proc.stderr)
+    return int(kib) / 1024
+
+
+@pytest.fixture(scope="module")
+def excess_rss():
+    """Peak RSS of a CLI job over that of a trivial one (``word --n 1``),
+    so that a bound does not depend on the interpreter's own footprint."""
+    base = peak_rss_mib(["word", "--n", "1"])
+    return lambda argv: peak_rss_mib(argv) - base
+
+
+RSS_CASES = [
+    # The convergent table is about 1.3 MB; its text is about 5 MB.
+    (["convergents", "--ratfunc", dense_fraction(45, 1)], 5),
+    (["convergents", "--ratfunc", dense_fraction(45, 1), "--format", "json"], 5),
+    # About 14 MB of text, 9 MB of JSON, over an 8 MB coefficient tuple.
+    (["theta", "--prec", "1000000"], 25),
+    (["theta", "--prec", "1000000", "--format", "json"], 25),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("argv, bound", RSS_CASES, ids=["convergents-text", "convergents-json", "theta-text", "theta-json"])
+def test_peak_memory_does_not_grow_with_output(argv, bound, excess_rss):
+    assert excess_rss(argv) <= bound

@@ -304,3 +304,109 @@ def test_evaluate_at_one_matches_horner(p):
 def test_evaluate_at_one_matches_horner_over_gfp(cs):
     p = Polynomial(GF(7), cs)
     assert p.evaluate(1) == p.evaluate(8) == _horner(p, 1)
+
+
+class _ChainParser:
+    """The sum rule before polynomial terms were accumulated: one
+    RationalFunction addition per term.  The oracle of ``_Parser.expr``."""
+
+    def expr(self):
+        value = self.term()
+        while self.peek() in "+-":
+            op = self.take()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+
+def _parse_both(text, field):
+    from wordcf.poly import _Parser
+
+    chain = type("ChainParser", (_ChainParser, _Parser), {})
+    outcomes = []
+    for parser in (_Parser, chain):
+        try:
+            outcomes.append(parser(text, field).parse())
+        except (ValueError, ZeroDivisionError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _random_sum(rng, depth=0):
+    def coeff():
+        # No denominator divisible by 3, so that GF(3) parses most sums.
+        c = str(rng.randint(0, 12))
+        return c + f"/{rng.choice((2, 4, 5, 7))}" if rng.random() < 0.3 else c
+
+    terms = []
+    for _ in range(rng.randint(1, 7)):
+        r = rng.random()
+        if r < 0.45:
+            term = f"{coeff()}*T^{rng.randint(0, 9)}"
+        elif r < 0.55:
+            term = coeff()
+        elif r < 0.7 and depth < 2:
+            term = f"({_random_sum(rng, depth + 1)})^{rng.randint(0, 2)}"
+        elif r < 0.85 and depth < 1:
+            term = f"{coeff()}/({_random_sum(rng, depth + 1)})"
+        else:
+            term = f"{coeff()}*T^-{rng.randint(1, 4)}"
+        terms.append(term)
+    signs = [rng.choice(("+", "-")) for _ in terms]
+    head = "-" if rng.random() < 0.2 else ""
+    return head + terms[0] + "".join(f" {s} {t}" for s, t in zip(signs[1:], terms[1:]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_summed_terms_match_the_addition_chain(field):
+    import random
+
+    rng = random.Random(f"sum-oracle/{field}")
+    texts = [_random_sum(rng) for _ in range(300)]
+    texts += [
+        "T - T",
+        "1/(T-1) - 1/(T-1)",
+        "1/(T-1) - 1/(T-1) + T",
+        "T^2 + 1/T",
+        "(T+1)/(T-1) + 3 - T + 1/T^2 - 2/(T-1)",
+        "3*T + 1 - 3*T",
+        "1/2*T + 1/3*T - 5/6*T",
+        "1/(T-T) + 1",
+        "T + 1/(T-T)",
+        # Terms of the text format, and near misses that take the general rule.
+        "1/0*T^5 + 1",
+        "1/3*T^2 + 1",
+        "3*T^5 + 1 - 0*T^7",
+        "-0*T^3 + T",
+        "--2*T^2 - -3/4*T^0 + +5*T^1",
+        "2*T^3^2 + 1",
+        "2/3/4*T^1 + T",
+        "2*T^-3 + 1",
+        "2*T^3*T^1 - 1",
+        "(1*T^2 + 2*T^1)*(3*T^1) + 1*T^0",
+        "1*T^1000000 - 1*T^1000000 + 1",
+        "1*T^1000001 + 1",
+        "1/2*T^1 + 1/(2*T^1)",
+        " + ".join(f"{(7 * k) % 11}*T^{k}" for k in range(1000)),
+    ]
+    for text in texts:
+        new, chain = _parse_both(text, field)
+        assert new == chain, text
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_long_sum_of_terms_parses_fast(field):
+    # 4000 terms of the text format; one addition per term took 1-2 s.
+    import random
+    import time
+
+    rng = random.Random(4000)
+    coeffs = [rng.randint(-9, 9) for _ in range(4000)]
+    text = " + ".join(f"{c}*T^{k}" for k, c in enumerate(coeffs))
+    assert parse_poly(text, field) == Polynomial(field, coeffs)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_poly(text, field)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.2

@@ -277,3 +277,27 @@ def test_monic_denominator_expansion_over_gfp(field):
     got = series_of_fraction(num, den, 30)
     assert got == series_of_fraction(num.scale(2), den.scale(2), 30)
     assert all(0 <= c < field.p for c in got.coeffs)
+
+
+def _one_piece_text(s):
+    # The text format built as one list of terms.
+    terms = [f"{c}*T^{s.top - i}" for i, c in enumerate(s.coeffs) if c]
+    return f"{' + '.join(terms) if terms else '0'} + O(T^{s.known_down - 1})"
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        LaurentSeries.zero(QQ, -3),
+        LaurentSeries(QQ, 2, [5]),
+        # A whole 4096-coefficient piece of zeros between two terms.
+        LaurentSeries(QQ, 0, [1] + [0] * 9000 + [-2, 0]),
+        LaurentSeries(GF(2), -1, [int(c) % 2 for c in prefix(20000)]),
+        LaurentSeries(QQ, 7, [random.Random(3).randint(-2, 2) for _ in range(12289)]),
+    ],
+    ids=["zero", "constant", "zero-piece", "gf2", "random"],
+)
+def test_text_pieces_join_to_the_text_format(s):
+    pieces = list(s.text_pieces())
+    assert "".join(pieces) == str(s) == _one_piece_text(s)
+    assert len(pieces) <= 1 + -(-len(s.coeffs) // 4096)
