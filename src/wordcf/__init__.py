@@ -58,7 +58,6 @@ _EXPORTS = {
             "ConvergentTable",
             "MeasureTerm",
             "SeriesExpansion",
-            "approx_order",
             "cf_of_fraction",
             "cf_of_series",
             "convergents",

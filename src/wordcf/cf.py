@@ -15,7 +15,7 @@ from itertools import compress, islice
 from . import _kernel
 from .fields import check_same_field
 from .poly import Polynomial, RationalFunction, _divmod_gfp
-from .series import LaurentSeries, PrecisionError, series_of_fraction
+from .series import LaurentSeries, PrecisionError
 
 
 class ContinuedFraction(namedtuple("ContinuedFraction", "quotients")):
@@ -300,24 +300,6 @@ def _strip(v: list) -> list:
     while v and not v[-1]:
         v.pop()
     return v
-
-
-def approx_order(alpha: LaurentSeries, num: Polynomial, den: Polynomial) -> int:
-    """The exponent t with |alpha - num/den| = |T|^(-t), found by exact
-    series subtraction down to alpha's known precision."""
-    check_same_field(alpha.field, num.field)
-    if num.is_zero:
-        if alpha.is_zero:
-            raise PrecisionError("order exceeds precision")
-        return -alpha.top
-    top = num.degree - den.degree
-    prec = top - alpha.known_down + 1
-    if prec < 1:
-        return -top
-    diff = alpha - series_of_fraction(num, den, prec)
-    if diff.is_zero:
-        raise PrecisionError("order exceeds precision")
-    return -diff.top
 
 
 class MeasureTerm(namedtuple("MeasureTerm", "n estimate running_max")):

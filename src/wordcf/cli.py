@@ -348,9 +348,9 @@ def _measure(args) -> int:
 
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    # theta_expansion(N + 1) reaches aux_words(N + 2), which builds u(N + 3).
+    # theta_degrees(N) reads the tail pair N + 1: aux_words(N + 2), u(N + 3).
     check_block_budget(args.max_n + 3)
-    degrees = verify.theta_expansion(args.max_n + 1).degrees()
+    degrees = verify.theta_degrees(args.max_n)
     terms = measure_terms(degrees)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -21,7 +21,6 @@ from .cf import (
     ContinuedFraction,
     cf_of_fraction,
     cf_of_series,
-    approx_order,
     measure_terms,
 )
 from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
@@ -114,7 +113,7 @@ def check_lemma1(n: int) -> CheckReport:
     ell = lengths(n)
     t_expected = (9 * ell[n] + 3 * ell[n - 1] + 11) // 2
     omega_expected = 3 - Fraction(4, 3 * ell[n] + ell[n - 1] + 5)
-    return _exponent_report("lemma1", tail_periodic_pair(n), t_expected, omega_expected)
+    return _exponent_report("lemma1", n, packed_tail_pair(n), t_expected, omega_expected)
 
 
 def check_lemma2(n: int) -> CheckReport:
@@ -125,36 +124,29 @@ def check_lemma2(n: int) -> CheckReport:
     len_j = (ell[n] + ell[n - 1] - 1) // 2
     t_expected = 2 * len_up + len_j + 1
     omega_expected = 2 + Fraction(ell[n] + ell[n - 1] + 1, 6 * ell[n] + 2 * ell[n - 1] + 8)
-    return _exponent_report("lemma2", pure_periodic_pair(n), t_expected, omega_expected)
+    return _exponent_report("lemma2", n, packed_pure_pair(n), t_expected, omega_expected)
 
 
-def _exponent_report(check: str, pair: ApproximantPair, t_expected: int, omega_expected) -> CheckReport:
-    """The measured order t of pair's approximation to the generating series
-    and t/deg(den), against the expected ones, as ``t=...;omega=...``."""
-    theta = theta_series(t_expected + 4)
-    t_measured = approx_order(theta, pair.r, pair.s)
-    omega_measured = Fraction(t_measured, pair.s.degree)
+def _exponent_report(check: str, n: int, pair: PackedPair, t_expected: int, omega_expected) -> CheckReport:
+    """The order t of the packed pair's approximation to the generating
+    series and t/deg(den), against the expected ones, as ``t=...;omega=...``."""
+    t_measured = _measured_order(pair, t_expected + 4)
+    omega_measured = Fraction(t_measured, pair.den[0][1])
     expected = f"t={t_expected};omega={omega_expected}"
     actual = f"t={t_measured};omega={omega_measured}"
-    return CheckReport(check, pair.n, expected, actual)
+    return CheckReport(check, n, expected, actual)
 
 
-def cross_product_delta(n: int) -> Polynomial:
-    """r_n s'_n - r'_n s_n, computed exactly (sparse-by-dense products)."""
-    a = tail_periodic_pair(n)
-    b = pure_periodic_pair(n)
-    return a.r * b.s - b.r * a.s
-
-
-# Lemma 3 is checked on values at T = X = 2^8 (Kronecker substitution).  An
-# integer polynomial whose coefficients all have |c| <= 127 is fixed by its
-# value at 2^8: they are the value's balanced base-256 digits.  Every side
-# compared below, and every difference of two sides, has |c| <= 8: r_n and
-# r'_n have coefficients in [-2, 2], and s_n, s'_n, p_n and q_n at most two
-# terms +-1, so a product of one of each has |c| <= 4; delta is a difference
-# of two such products, and each recurrence compares a pair member with a
-# product plus a pair member.  So equal values are equal polynomials, and
-# the digits of delta are its coefficients.
+# Lemmas 1-3 and Theorem 3 are checked on values at T = X = 2^8 (Kronecker
+# substitution).  An integer polynomial whose coefficients all have
+# |c| <= 127 is fixed by its value at 2^8: they are the value's balanced
+# base-256 digits.  Every side compared below, every difference of two
+# sides, and the remainder E of an order, has |c| <= 8: r_n, r'_n and the
+# word have coefficients in [-2, 2], and s_n, s'_n, p_n, q_n at most two
+# terms +-1; a product of one of each has |c| <= 4, delta and E are
+# differences of two, and a recurrence adds a pair member to one.  So equal
+# values are equal polynomials, and the digits of delta or E are its
+# coefficients.
 _X_BITS = 8
 
 # Letters '1' and '2' as the byte digits 1 and 2.
@@ -163,7 +155,7 @@ _LETTER_DIGITS = bytes.maketrans(b"12", b"\x01\x02")
 
 class PackedPair(namedtuple("PackedPair", "r den")):
     """An approximant pair at T = X: ``r`` is the int num(X) and ``den`` the
-    terms (sign, exponent) of the binomial denominator."""
+    terms (sign, exponent) of the binomial denominator, highest first."""
 
     __slots__ = ()
 
@@ -213,22 +205,22 @@ def packed_pure_pair(n: int) -> PackedPair:
     return PackedPair(r, ((1, m), (-1, 0)))
 
 
-def check_lemma3(n: int) -> CheckReport:
-    """Cross-product identity, the four ladder recurrences linking index n to
-    n+1, and the coprimality conclusions.
+def _measured_order(pair: PackedPair, prec: int) -> int:
+    """The t with |theta - num/den| = |T|^-t, from the first prec letters:
+    with Theta = word_poly(prefix(prec)) and E = Theta den - num T^prec,
+    T^prec den (theta - num/den) = E + O(T^(deg den - 1)), so
+    t = deg den + prec - deg E once deg E >= deg den.  At T = X, E is a few
+    shifts, and deg E is the position of its top signed digit."""
+    e = _times(_packed_word(prefix(prec)), pair.den) - (pair.r << (_X_BITS * prec))
+    deg_e = len(_kernel.signed_digits(e)) - 1
+    if deg_e < pair.den[0][1]:
+        raise PrecisionError("order exceeds precision")
+    return pair.den[0][1] + prec - deg_e
 
-    Every identity is checked as one identity of integers, the values at
-    T = X = 2^8 (see ``_X_BITS``).  The numerators are packed from their
-    words in one C-level pass each, and every product has a monomial or
-    binomial factor, so it is one or two shifts: the check is linear in the
-    word lengths and builds no Polynomial of the pairs.  The reported delta
-    is read back from its value's digits.
 
-    The gcd statements are verified by divisibility: any common divisor of a
-    pair divides the cross product +-(T-1), so once that identity holds,
-    coprimality follows from num(1) != 0, which the packed pairs guard.  (A
-    literal Euclidean gcd is cross-checked in tests for small n.)
-    """
+def _ladder(n: int) -> tuple:
+    """Lemma 3 at n as (delta, sign, delta_ok, rec): delta = (r_n s'_n - r'_n s_n)(X),
+    to be sign (X - 1), and the four recurrences from n to n + 1 as bools."""
     ell = lengths(n + 2)
     a, ap = packed_tail_pair(n), packed_pure_pair(n)
     b, bp = packed_tail_pair(n + 1), packed_pure_pair(n + 1)
@@ -246,7 +238,26 @@ def check_lemma3(n: int) -> CheckReport:
     ]
     sign = 1 if n % 2 == 0 else -1
     delta = _times(a.r, ap.den) - _times(ap.r, a.den)
-    delta_ok = delta == sign * ((1 << _X_BITS) - 1)
+    return delta, sign, delta == sign * ((1 << _X_BITS) - 1), rec
+
+
+def check_lemma3(n: int) -> CheckReport:
+    """Cross-product identity, the four ladder recurrences linking index n to
+    n+1, and the coprimality conclusions.
+
+    Every identity is checked as one identity of integers, the values at
+    T = X = 2^8 (``_ladder``, ``_X_BITS``).  The numerators are packed from
+    their words in one C-level pass each, and every product has a monomial or
+    binomial factor, so it is one or two shifts: the check is linear in the
+    word lengths and builds no Polynomial of the pairs.  The reported delta
+    is read back from its value's digits.
+
+    The gcd statements are verified by divisibility: any common divisor of a
+    pair divides the cross product +-(T-1), so once that identity holds,
+    coprimality follows from num(1) != 0, which the packed pairs guard.  (A
+    literal Euclidean gcd is cross-checked in tests for small n.)
+    """
+    delta, sign, delta_ok, rec = _ladder(n)
     delta_poly = Polynomial(QQ, _kernel.signed_digits(delta))
     expected_poly = Polynomial(QQ, [-sign, sign])
     gcd = "1,1" if delta_ok else "?,?"
@@ -268,30 +279,45 @@ def theta_expansion(block_count: int) -> ContinuedFraction:
     return cf_of_fraction(pair.r, pair.s)
 
 
-def is_convergent(cf: ContinuedFraction, k: int, r: Polynomial, s: Polynomial) -> bool:
-    """Whether (r, s) is a scalar multiple of the k-th convergent pair
-    (x_k, y_k) of cf, found by one Euclid run instead of the table.
-
-    A finite expansion whose later quotients have degree >= 1 is unique, so
-    equal quotients give r/s = x_k/y_k; since x_k, y_k are coprime and
-    deg y_k = d_1 + ... + d_k, the degree test rules out a common factor.
-    """
-    return (
-        cf_of_fraction(r, s).quotients == cf.quotients[: k + 1]
-        and s.degree == sum(cf.degrees()[:k])
-    )
+def theta_degrees(max_n: int) -> list[int]:
+    """Degrees d_1 .. d_{4 max_n + 4} of theta's expansion as Theorem 3's
+    proof derives them: d_1..d_4 from ``theta_expansion(min(max_n, 2) + 1)``,
+    then, the pairs at n being the convergents 4n and 4n + 2 of order
+    2 deg y_k + d_{k+1} (premises that ``check_theorem3`` checks), from the
+    orders t_n, t'_n (each < 3 deg den), D_n = deg s_n and m_n = deg s'_n:
+    d_{4n+1} = t_n - 2 D_n, d_{4n+2} = m_n - D_n - d_{4n+1},
+    d_{4n+3} = t'_n - 2 m_n, d_{4n+4} = D_{n+1} - m_n - d_{4n+3}."""
+    d = theta_expansion(min(max_n, 2) + 1).degrees()[:4]
+    for n in range(1, max_n + 1):
+        tail, pure = packed_tail_pair(n), packed_pure_pair(n)
+        big_d, m = tail.den[0][1], pure.den[0][1]
+        d1 = _measured_order(tail, 3 * big_d) - 2 * big_d
+        d3 = _measured_order(pure, 3 * m) - 2 * m
+        d += [d1, m - big_d - d1, d3, packed_tail_pair(n + 1).den[0][1] - m - d3]
+    return d
 
 
 def check_theorem3(max_n: int) -> list[CheckReport]:
     """Degree law of the expansion: the first four degrees are 1; block n
     contributes degrees ((3 len_n + len_{n-1} + 1)/2, 1, (len_n + len_{n-1} + 1)/2, 1);
     and the approximant pairs are, up to a scalar, the convergents at
-    indices 4n and 4n+2.  A certified series expansion cross-checks the
-    Euclidean prefix."""
+    indices 4n and 4n+2.
+
+    Computed: d_1..d_4, by a Euclid on a denominator of degree <= 21 that a
+    certified series expansion cross-checks; the orders t_n, t'_n; lemma 3's
+    delta and recurrences (``_ladder``), re-measured here.  Inferred: the
+    other degrees (``theta_degrees``) and the indices, by Legendre's
+    criterion (a reduced r/s with |theta - r/s| < |s|^-2 is a convergent):
+    delta = +-(T - 1) and num(1) != 0 make the pairs reduced, and
+    d_{4n+1}, d_{4n+3} >= 1 are the inequalities.  Convergents j < l have a
+    cross product of degree deg y_l - deg y_{j+1}, so delta, and by the
+    recurrences the cross product of the pure pair n and the tail pair n + 1,
+    place each pair two indices after the last (positive degrees order
+    them); d_1 + ... + d_4 = D_1 places the first at 4.  A row matches only
+    when every step up to it holds."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cf = theta_expansion(max_n + 1)
-    d = cf.degrees()
+    d = theta_degrees(max_n)
     ell = lengths(max_n + 1)
     reports: list[CheckReport] = []
 
@@ -299,7 +325,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     series_prec = 3 * ell[m + 1] + ell[m] + 5  # = 2 deg(den_{m+1})
     expansion = cf_of_series(theta_series(series_prec))
     k = expansion.emitted
-    prefix_ok = expansion.cf.quotients[: k + 1] == cf.quotients[: k + 1]
+    prefix_ok = expansion.cf.quotients[: k + 1] == theta_expansion(m + 1).quotients[: k + 1]
     base_expected = f"d1..d4=1,1,1,1;series_prefix=consistent({k})"
     base_actual = (
         f"d1..d4={','.join(str(x) for x in d[:4])};"
@@ -307,6 +333,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     )
     reports.append(CheckReport("theorem3", 0, base_expected, base_actual))
 
+    placed = sum(d[:4]) == packed_tail_pair(1).den[0][1]
     for n in range(1, max_n + 1):
         d_expected = (
             (3 * ell[n] + ell[n - 1] + 1) // 2,
@@ -315,10 +342,10 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
             1,
         )
         d_actual = tuple(d[4 * n : 4 * n + 4])
-        pair = tail_periodic_pair(n)
-        pairp = pure_periodic_pair(n)
-        conv_ok = is_convergent(cf, 4 * n, pair.r, pair.s)
-        convp_ok = is_convergent(cf, 4 * n + 2, pairp.r, pairp.s)
+        _, _, delta_ok, rec = _ladder(n)
+        conv_ok = placed and delta_ok and d_actual[0] >= 1
+        convp_ok = conv_ok and d_actual[1] >= 1 and d_actual[2] >= 1
+        placed = convp_ok and all(rec) and d_actual[3] >= 1
         expected = f"d={d_expected};conv4n=match;conv4n+2=match"
         actual = (
             f"d={d_actual};"
@@ -331,11 +358,11 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
 
 def check_corollary(max_n: int) -> list[CheckReport]:
     """Measure bookkeeping: sum(d_1..d_4n) = 2 + d_{4n+1}, and the estimator
-    term at index 4n equals 2 + d_{4n+1}/(2 + d_{4n+1}), strictly increasing."""
+    term at index 4n equals 2 + d_{4n+1}/(2 + d_{4n+1}), strictly increasing.
+    Exact arithmetic on ``theta_degrees``, whose premises theorem3 checks."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    cf = theta_expansion(max_n + 1)
-    d = cf.degrees()
+    d = theta_degrees(max_n)
     terms = measure_terms(d)
     reports: list[CheckReport] = []
     prev_estimate = None
@@ -449,16 +476,6 @@ def quartic_residual(x: LaurentSeries) -> LaurentSeries:
     x4 = x2 * x2
     one = LaurentSeries.from_poly(Polynomial.one(field), kd)
     return x4 + x2 - x.shift(1) + one
-
-
-def quartic_fixed_point_step(x: LaurentSeries) -> LaurentSeries:
-    """x <- (x^4 + x^2 + 1)/T; each step extends exactness by two digits.
-    The slow reference for the Newton lift in ``quartic_root``."""
-    field = x.field
-    x2 = x * x
-    x4 = x2 * x2
-    one = LaurentSeries.from_poly(Polynomial.one(field), min(x.known_down - 2, -1))
-    return ((x4 + x2 + one)).shift(-1)
 
 
 # Deepest quartic lift, ten times the 10^5 digits the certificate aims at;

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcf.fields import GF, QQ
+from wordcf.fields import GF, QQ, check_same_field
 from wordcf.poly import Polynomial, RationalFunction, parse_poly
-from wordcf.series import LaurentSeries, PrecisionError
+from wordcf.series import LaurentSeries, PrecisionError, series_of_fraction
 from wordcf.cf import (
     ContinuedFraction,
-    approx_order,
     cf_of_fraction,
     cf_of_series,
     convergents,
@@ -19,6 +18,26 @@ from wordcf.cf import (
 )
 from wordcf.words import lengths, theta_series
 from wordcf.verify import pure_periodic_pair, tail_periodic_pair
+
+
+def approx_order(alpha: LaurentSeries, num: Polynomial, den: Polynomial) -> int:
+    """The exponent t with |alpha - num/den| = |T|^(-t), found by exact
+    series subtraction down to alpha's known precision: the reference for
+    the packed order measurement of the exponent checks."""
+    check_same_field(alpha.field, num.field)
+    if num.is_zero:
+        if alpha.is_zero:
+            raise PrecisionError("order exceeds precision")
+        return -alpha.top
+    top = num.degree - den.degree
+    prec = top - alpha.known_down + 1
+    if prec < 1:
+        return -top
+    diff = alpha - series_of_fraction(num, den, prec)
+    if diff.is_zero:
+        raise PrecisionError("order exceeds precision")
+    return -diff.top
+
 
 GOLDEN = ["0", "T-2", "1/2*T+1/4", "8/5*T+76/25", "-125/48*T+25/24"]
 

@@ -3,13 +3,11 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 
 import pytest
 
 import wordcf
 from wordcf import cli, verify
-from wordcf.poly import Polynomial
 
 
 def run_cli(capsys, *argv):
@@ -109,41 +107,40 @@ def test_forced_failure_gives_exit_two(capsys, monkeypatch):
 
 
 def test_forced_pair_failure_gives_exit_two(capsys, monkeypatch):
-    # The same corruption in the Polynomial pair, which the exponent laws read.
-    real = verify.tail_periodic_pair
+    # The same corruption in the packed pair that the exponent laws measure.
+    real = verify.packed_tail_pair
 
-    def corrupted(n, alphabet=(1, 2)):
-        pair = real(n, alphabet)
-        if n == 1:
-            bad = pair.r + Polynomial.one(pair.r.field)
-            return verify.ApproximantPair(n=pair.n, r=bad, s=pair.s, kind=pair.kind)
-        return pair
+    def corrupted(n):
+        pair = real(n)
+        return pair._replace(r=pair.r + 1) if n == 1 else pair
 
-    monkeypatch.setattr(verify, "tail_periodic_pair", corrupted)
+    monkeypatch.setattr(verify, "packed_tail_pair", corrupted)
     code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-n", "2")
     assert code == 2
     assert "FAIL" in out
     assert not out.splitlines()[-1].startswith("PASS 2/2")
 
 
+# Deepest budgeted jobs: (argv, last line of stdout or None, MiB above a
+# trivial job).  Every check there works on integers at T = 2^8, with no
+# Polynomial pair or Euclid past the base row's.
+DEEP_JOBS = [
+    (["verify", "lemma3", "--max-n", "15"], "PASS 15/15", 130),
+    (["verify", "lemma1", "--max-n", "15"], "PASS 15/15", 230),
+    (["verify", "lemma2", "--max-n", "15"], "PASS 15/15", 230),
+    (["verify", "theorem3", "--max-n", "15"], "PASS 16/16", 230),
+    (["verify", "corollary", "--max-n", "15"], "PASS 15/15", 230),
+    (["measure", "--max-n", "15"], None, 230),
+]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_deep_lemma3_stays_small():
-    # lemma 3 to its deepest budgeted index checks integer identities; the
-    # dense Polynomial pairs it once built took about 320 MiB here.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wordcf.__file__)))
-    argv = [sys.executable, "-m", "wordcf", "verify", "lemma3", "--max-n", "15"]
-    env = dict(os.environ, PYTHONPATH=src)
-    with tempfile.TemporaryFile() as out, subprocess.Popen(
-        argv, stdout=out, stderr=subprocess.DEVNULL, env=env
-    ) as proc:
-        # wait4, unlike Popen.wait, returns the child's resource usage.
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        lines = out.read().decode().splitlines()
-    assert proc.returncode == 0
-    assert lines[-1] == "PASS 15/15"
-    assert usage.ru_maxrss / 1024 < 150
+def test_deep_lemma3_stays_small(excess_rss, tmp_path):
+    out = tmp_path / "out.txt"
+    for argv, last, bound in DEEP_JOBS:
+        # excess_rss asserts exit 0.
+        assert excess_rss(argv, stdout=str(out)) <= bound, argv
+        assert last is None or out.read_text().splitlines()[-1] == last, argv
 
 
 def test_quartic_command(capsys):

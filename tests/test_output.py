@@ -267,43 +267,7 @@ def test_formatting_failure_writes_nothing(command, tmp_path):
 
 
 # ------------------------------------------------------------- peak memory
-
-
-# The job is started by a small launcher interpreter, not by this test
-# process: a child started with vfork or posix_spawn inherits the high-water
-# RSS of its parent's address space, which here would be pytest's.
-_LAUNCHER = """
-import os, sys
-argv = [sys.executable, "-m", "wordcf", *sys.argv[1:]]
-devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=devnull)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def peak_rss_mib(argv) -> float:
-    """The max RSS of ``python -m wordcf argv`` in MiB (Linux units); its
-    stdout is discarded, and it must exit 0."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        timeout=300,
-    )
-    code, kib = proc.stdout.split()
-    assert code == "0", (argv, proc.stderr)
-    return int(kib) / 1024
-
-
-@pytest.fixture(scope="module")
-def excess_rss():
-    """Peak RSS of a CLI job over that of a trivial one (``word --n 1``),
-    so that a bound does not depend on the interpreter's own footprint."""
-    base = peak_rss_mib(["word", "--n", "1"])
-    return lambda argv: peak_rss_mib(argv) - base
-
+# Each job is measured from a small launcher (``excess_rss``, conftest.py).
 
 RSS_CASES = [
     # The convergent table is about 1.3 MB; its text is about 5 MB.

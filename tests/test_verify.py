@@ -3,18 +3,129 @@ from fractions import Fraction
 
 import pytest
 
+from test_cf import approx_order
+from wordcf import cf, cli, series, verify
 from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, format_poly, parse_poly, poly_gcd
-from wordcf.series import PrecisionError
-from wordcf.cf import cf_of_series, convergents
-from wordcf.words import first_difference_rank, lengths, prefix
-from wordcf import verify
+from wordcf.series import LaurentSeries, PrecisionError
+from wordcf.cf import cf_of_fraction, cf_of_series, convergents, measure_terms
+from wordcf.words import first_difference_rank, lengths, prefix, theta_series
 
 
 def _at_x(p):
     """An integer polynomial's value at T = 2^8."""
     assert p.den == 1
     return sum(c << (8 * k) for k, c in enumerate(p.ints))
+
+
+def cross_product_delta(n: int) -> Polynomial:
+    """r_n s'_n - r'_n s_n on the Polynomial pairs."""
+    a = verify.tail_periodic_pair(n)
+    b = verify.pure_periodic_pair(n)
+    return a.r * b.s - b.r * a.s
+
+
+def is_convergent(expansion, k: int, r: Polynomial, s: Polynomial) -> bool:
+    """Whether (r, s) is a scalar multiple of the k-th convergent pair
+    (x_k, y_k) of the ContinuedFraction ``expansion``, found by one Euclid
+    run instead of the table: the reference for theorem3's identification.
+
+    A finite expansion whose later quotients have degree >= 1 is unique, so
+    equal quotients give r/s = x_k/y_k; since x_k, y_k are coprime and
+    deg y_k = d_1 + ... + d_k, the degree test rules out a common factor.
+    """
+    return (
+        cf_of_fraction(r, s).quotients == expansion.quotients[: k + 1]
+        and s.degree == sum(expansion.degrees()[:k])
+    )
+
+
+def quartic_fixed_point_step(x: LaurentSeries) -> LaurentSeries:
+    """x <- (x^4 + x^2 + 1)/T; each step extends exactness by two digits.
+    The slow reference for the Newton lift in ``quartic_root``."""
+    field = x.field
+    x2 = x * x
+    x4 = x2 * x2
+    one = LaurentSeries.from_poly(Polynomial.one(field), min(x.known_down - 2, -1))
+    return ((x4 + x2 + one)).shift(-1)
+
+
+def _exponent_oracle(check, pair, t_expected, omega_expected):
+    """The lemma 1/2 report measured by series subtraction on a Polynomial
+    pair: the reference for the packed order measurement."""
+    t_measured = approx_order(theta_series(t_expected + 4), pair.r, pair.s)
+    omega_measured = Fraction(t_measured, pair.s.degree)
+    expected = f"t={t_expected};omega={omega_expected}"
+    actual = f"t={t_measured};omega={omega_measured}"
+    return verify.CheckReport(check, pair.n, expected, actual)
+
+
+def _lemma1_oracle(n):
+    ell = lengths(n)
+    t = (9 * ell[n] + 3 * ell[n - 1] + 11) // 2
+    omega = 3 - Fraction(4, 3 * ell[n] + ell[n - 1] + 5)
+    return _exponent_oracle("lemma1", verify.tail_periodic_pair(n), t, omega)
+
+
+def _lemma2_oracle(n):
+    ell = lengths(n)
+    t = 2 * (3 * ell[n] + ell[n - 1] + 4) + (ell[n] + ell[n - 1] - 1) // 2 + 1
+    omega = 2 + Fraction(ell[n] + ell[n - 1] + 1, 6 * ell[n] + 2 * ell[n - 1] + 8)
+    return _exponent_oracle("lemma2", verify.pure_periodic_pair(n), t, omega)
+
+
+def _theorem3_oracle(max_n):
+    """check_theorem3 on one Euclid of the tail pair max_n + 1, with each
+    identification by two more Euclids (``is_convergent``)."""
+    cf = verify.theta_expansion(max_n + 1)
+    d = cf.degrees()
+    ell = lengths(max_n + 1)
+    m = min(max_n, 2)
+    expansion = cf_of_series(theta_series(3 * ell[m + 1] + ell[m] + 5))
+    k = expansion.emitted
+    prefix_ok = expansion.cf.quotients[: k + 1] == cf.quotients[: k + 1]
+    reports = [
+        verify.CheckReport(
+            "theorem3",
+            0,
+            f"d1..d4=1,1,1,1;series_prefix=consistent({k})",
+            f"d1..d4={','.join(str(x) for x in d[:4])};"
+            f"series_prefix={'consistent' if prefix_ok else 'DIVERGES'}({k})",
+        )
+    ]
+    for n in range(1, max_n + 1):
+        d_expected = ((3 * ell[n] + ell[n - 1] + 1) // 2, 1, (ell[n] + ell[n - 1] + 1) // 2, 1)
+        pair, pairp = verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)
+        conv_ok = is_convergent(cf, 4 * n, pair.r, pair.s)
+        convp_ok = is_convergent(cf, 4 * n + 2, pairp.r, pairp.s)
+        actual = (
+            f"d={tuple(d[4 * n : 4 * n + 4])};"
+            f"conv4n={'match' if conv_ok else 'MISMATCH'};"
+            f"conv4n+2={'match' if convp_ok else 'MISMATCH'}"
+        )
+        reports.append(
+            verify.CheckReport("theorem3", n, f"d={d_expected};conv4n=match;conv4n+2=match", actual)
+        )
+    return reports
+
+
+def _corollary_oracle(max_n):
+    """check_corollary on the degrees of one Euclid of the tail pair max_n + 1."""
+    d = verify.theta_expansion(max_n + 1).degrees()
+    terms = measure_terms(d)
+    reports = []
+    prev = None
+    for n in range(1, max_n + 1):
+        deg_sum, d_next, term = sum(d[: 4 * n]), d[4 * n], terms[4 * n - 1]
+        actual = (
+            f"degsum={'2+d' if deg_sum == 2 + d_next else f'{deg_sum}!=2+{d_next}'};"
+            f"nu={term.estimate};"
+            f"increasing={'yes' if prev is None or term.estimate > prev else 'NO'}"
+        )
+        expected = f"degsum=2+d;nu={2 + Fraction(d_next, 2 + d_next)};increasing=yes"
+        reports.append(verify.CheckReport("corollary", n, expected, actual))
+        prev = term.estimate
+    return reports
 
 
 def _lemma3_oracle(n):
@@ -26,7 +137,7 @@ def _lemma3_oracle(n):
     pair2, pair2p = verify.tail_periodic_pair(n + 1), verify.pure_periodic_pair(n + 1)
     t_minus_1 = Polynomial(field, [-1, 1])
     delta_expected = t_minus_1 if n % 2 == 0 else -t_minus_1
-    delta = verify.cross_product_delta(n)
+    delta = cross_product_delta(n)
     len_f_next = (ell[n + 1] + ell[n] - 1) // 2
     len_v_next = ell[n + 1] + 1
     len_g = (ell[n] + ell[n - 1] + 3) // 2
@@ -117,13 +228,63 @@ class TestLemma2:
         assert verify.check_lemma2(6).passed
 
 
+def _times_t_plus_1(pair):
+    """A packed pair with num and den both multiplied by T + 1."""
+    den = tuple(term for sign, e in pair.den for term in ((sign, e + 1), (sign, e)))
+    return pair._replace(r=(pair.r << 8) + pair.r, den=den)
+
+
+def _outcome(check, n):
+    try:
+        return check(n)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+class TestPackedOrders:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_reports_match_series_oracle(self, n):
+        assert verify.check_lemma1(n) == _lemma1_oracle(n)
+        assert verify.check_lemma2(n) == _lemma2_oracle(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fault", ["plus_one", "times_t_plus_1"])
+    def test_corrupted_pairs_match_series_oracle(self, monkeypatch, n, fault):
+        # The same fault in both forms gives the same report, or the same
+        # error, from the packed measurement as from series subtraction.
+        t_plus_1 = Polynomial(QQ, [1, 1])
+        if fault == "plus_one":
+            poly_fault = lambda pair: pair._replace(r=pair.r + Polynomial.one(QQ))
+            packed_fault = lambda pair: pair._replace(r=pair.r + 1)
+        else:
+            poly_fault = lambda pair: pair._replace(r=pair.r * t_plus_1, s=pair.s * t_plus_1)
+            packed_fault = _times_t_plus_1
+        for name in ("tail_periodic_pair", "pure_periodic_pair", "packed_tail_pair", "packed_pure_pair"):
+            real = getattr(verify, name)
+            fault_of = packed_fault if name.startswith("packed") else poly_fault
+            monkeypatch.setattr(
+                verify, name, lambda k, *a, real=real, f=fault_of: f(real(k, *a)) if k == n else real(k, *a)
+            )
+        for check, oracle in ((verify.check_lemma1, _lemma1_oracle), (verify.check_lemma2, _lemma2_oracle)):
+            outcome = _outcome(check, n)
+            assert outcome == _outcome(oracle, n)
+            assert isinstance(outcome, str) or not outcome.passed
+
+    def test_order_beyond_precision_raises(self):
+        # t_1 = 10: the first 8 letters show orders up to 8, 10 letters 10.
+        pair = verify.packed_tail_pair(1)
+        with pytest.raises(PrecisionError, match="order exceeds precision"):
+            verify._measured_order(pair, 8)
+        assert verify._measured_order(pair, 10) == verify._measured_order(pair, 12) == 10
+
+
 class TestLemma3:
     def test_delta_at_one(self):
-        assert verify.cross_product_delta(1) == parse_poly("-T+1")
+        assert cross_product_delta(1) == parse_poly("-T+1")
 
     def test_delta_alternates(self):
-        d1 = verify.cross_product_delta(1)
-        d2 = verify.cross_product_delta(2)
+        d1 = cross_product_delta(1)
+        d2 = cross_product_delta(2)
         assert d2 == -d1 == parse_poly("T-1")
 
     def test_recurrences_link_consecutive_pairs(self):
@@ -174,12 +335,13 @@ class TestLemma3:
             verify._packed_word(word)
 
     def test_suite_builds_no_polynomial_pair(self):
-        for cache in (verify.tail_periodic_pair, verify.pure_periodic_pair):
-            cache.cache_clear()
-        reports, _ = verify.run_suite("lemma3", 12)
-        assert all(rep.passed for rep in reports) and len(reports) == 12
-        assert verify.tail_periodic_pair.cache_info().currsize == 0
-        assert verify.pure_periodic_pair.cache_info().currsize == 0
+        for selection in ("lemma1", "lemma2", "lemma3"):
+            for cache in (verify.tail_periodic_pair, verify.pure_periodic_pair):
+                cache.cache_clear()
+            reports, _ = verify.run_suite(selection, 12)
+            assert all(rep.passed for rep in reports) and len(reports) == 12
+            assert verify.tail_periodic_pair.cache_info().currsize == 0
+            assert verify.pure_periodic_pair.cache_info().currsize == 0
 
 
 class TestTheorem3:
@@ -222,27 +384,112 @@ class TestTheorem3:
         for n in range(1, 5):
             pair, pairp = verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)
             for k, right, wrong in ((4 * n, pair, pairp), (4 * n + 2, pairp, pair)):
-                assert verify.is_convergent(cf, k, right.r.scale(c), right.s.scale(c))
-                assert not verify.is_convergent(cf, k, wrong.r, wrong.s)
-                assert not verify.is_convergent(cf, k, right.r * t_plus_1, right.s * t_plus_1)
+                assert is_convergent(cf, k, right.r.scale(c), right.s.scale(c))
+                assert not is_convergent(cf, k, wrong.r, wrong.s)
+                assert not is_convergent(cf, k, right.r * t_plus_1, right.s * t_plus_1)
                 # Right degrees, wrong fraction.
-                assert not verify.is_convergent(cf, k, right.r + right.s, right.s.scale(2))
+                assert not is_convergent(cf, k, right.r + right.s, right.s.scale(2))
 
     def test_non_reduced_pair_reports_mismatch(self, monkeypatch):
-        real = verify.tail_periodic_pair
-        t_plus_1 = Polynomial(QQ, [1, 1])
+        # (r, s) (T + 1) at n = 1 has the same order t_1 = 10, but
+        # 10 > 2 deg s fails, and delta = +-(T - 1)(T + 1): the pair is
+        # not shown to be a convergent, nor is any pair placed after it.
+        real = verify.packed_tail_pair
 
-        def non_reduced_at_one(n, *args, **kwargs):
-            pair = real(n, *args, **kwargs)
-            if n != 1:
-                return pair
-            return pair._replace(r=pair.r * t_plus_1, s=pair.s * t_plus_1)
+        def non_reduced_at_one(n):
+            pair = real(n)
+            return _times_t_plus_1(pair) if n == 1 else pair
 
-        monkeypatch.setattr(verify, "tail_periodic_pair", non_reduced_at_one)
+        monkeypatch.setattr(verify, "packed_tail_pair", non_reduced_at_one)
+        reports = verify.check_theorem3(3)
+        assert reports[1].actual.endswith(";conv4n=MISMATCH;conv4n+2=MISMATCH")
+        assert reports[0].passed
+        oracle = _theorem3_oracle(3)
+        for rep in reports[2:]:
+            # The degrees of later blocks are still the expansion's.
+            assert rep.actual.split(";")[0] == oracle[rep.n].actual.split(";")[0]
+            assert rep.actual.endswith(";conv4n=MISMATCH;conv4n+2=MISMATCH")
+        assert not any(rep.passed for rep in reports[1:])
+
+    def test_fault_at_two_leaves_row_one_matching(self, monkeypatch):
+        # The rows are an induction: a non-reduced pair at n = 2 breaks
+        # the recurrences from n = 1 and every row from n = 2 on, while
+        # both pairs at n = 1 still read as convergents.
+        real = verify.packed_tail_pair
+        monkeypatch.setattr(
+            verify, "packed_tail_pair", lambda n: _times_t_plus_1(real(n)) if n == 2 else real(n)
+        )
+        reports = verify.check_theorem3(3)
+        assert reports[1].actual == "d=(2, 1, 1, 2);conv4n=match;conv4n+2=match"
+        for rep in reports[2:]:
+            assert rep.actual.endswith(";conv4n=MISMATCH;conv4n+2=MISMATCH")
+
+    @pytest.mark.parametrize(
+        "fault, verdicts",
+        [
+            # (premise broken, conv4n/conv4n+2 of rows 1..3: m = match, X = MISMATCH)
+            ("base", "XX XX XX"),
+            ("delta@2", "mm XX XX"),
+            ("rec@1", "mm XX XX"),
+            ("rec@2", "mm mm XX"),
+            ("d_9", "mm XX XX"),
+            ("d_10", "mm mX XX"),
+            ("d_11", "mm mX XX"),
+            ("d_12", "mm mm XX"),
+        ],
+    )
+    def test_each_premise_breaks_the_chain_from_its_row(self, monkeypatch, fault, verdicts):
+        # One premise fails, the others hold: the rows before it match, and
+        # no row that rests on it does.
+        real_ladder, real_degrees = verify._ladder, verify.theta_degrees
+        kind, _, where = fault.partition("@")
+
+        def ladder(n):
+            delta, sign, delta_ok, rec = real_ladder(n)
+            if str(n) == where:
+                delta_ok = delta_ok and kind != "delta"
+                rec = [r and kind != "rec" for r in rec[:1]] + list(rec[1:])
+            return delta, sign, delta_ok, rec
+
+        def degrees(max_n):
+            d = real_degrees(max_n)
+            if kind == "base":
+                d[0] += 1
+            elif kind.startswith("d_"):
+                d[int(kind[2:]) - 1] = 0
+            return d
+
+        monkeypatch.setattr(verify, "_ladder", ladder)
+        monkeypatch.setattr(verify, "theta_degrees", degrees)
+        seen = " ".join(
+            "".join("m" if part.endswith("=match") else "X" for part in rep.actual.split(";")[1:])
+            for rep in verify.check_theorem3(3)[1:]
+        )
+        assert seen == verdicts
+
+    def test_corrupted_packed_numerator_fails_lemma1_and_theorem3(self, monkeypatch):
+        # theorem3 re-measures the pairs it rests on: one fault in the n = 1
+        # packed numerator fails lemma 1 and the identification at n = 1.
+        real = verify.packed_tail_pair
+
+        def corrupted(n):
+            pair = real(n)
+            return pair._replace(r=pair.r + 1) if n == 1 else pair
+
+        monkeypatch.setattr(verify, "packed_tail_pair", corrupted)
+        lemma1 = verify.check_lemma1(1)
+        assert not lemma1.passed and lemma1.actual == "t=4;omega=1"
         reports = verify.check_theorem3(2)
-        assert reports[1].actual.endswith(";conv4n=MISMATCH;conv4n+2=match")
+        assert "conv4n=MISMATCH" in reports[1].actual
         assert not reports[1].passed
-        assert reports[0].passed and reports[2].passed
+
+    @pytest.mark.parametrize("max_n", range(1, 11))
+    def test_reports_match_euclid_oracle(self, max_n):
+        assert verify.check_theorem3(max_n) == _theorem3_oracle(max_n)
+
+    def test_derived_degrees_match_euclid(self):
+        for max_n in range(1, 12):
+            assert verify.theta_degrees(max_n) == verify.theta_expansion(max_n + 1).degrees()
 
     def test_identification_agrees_with_convergent_table(self):
         # Reference: the table check the identification replaced.  Both pairs
@@ -269,12 +516,16 @@ class TestTheorem3:
                 table.pair(4 * n + 1),
             ]
             for k in (4 * n, 4 * n + 2):
-                verdicts = [verify.is_convergent(cf, k, r, s) for r, s in candidates]
+                verdicts = [is_convergent(cf, k, r, s) for r, s in candidates]
                 assert verdicts == [same_fraction(*table.pair(k), r, s) for r, s in candidates]
                 assert any(verdicts) and not all(verdicts)
 
 
 class TestCorollary:
+    @pytest.mark.parametrize("max_n", range(1, 11))
+    def test_reports_match_euclid_oracle(self, max_n):
+        assert verify.check_corollary(max_n) == _corollary_oracle(max_n)
+
     def test_degree_sum_identity_at_one(self):
         cf = verify.theta_expansion(2)
         d = cf.degrees()
@@ -328,11 +579,9 @@ class TestQuartic:
         assert digits == [1, 0, 1, 0, 0, 0, 2, 0]
 
     def test_two_fixed_point_steps(self):
-        from wordcf.series import LaurentSeries
-
         x = LaurentSeries.zero(GF(3), -12)
-        x = verify.quartic_fixed_point_step(x)
-        x = verify.quartic_fixed_point_step(x)
+        x = quartic_fixed_point_step(x)
+        x = quartic_fixed_point_step(x)
         assert x.top == -1
         assert [x.coefficient(-k) for k in range(1, 6)] == [1, 0, 1, 0, 1]
         # the iterate is certified against the root through depth 4 only
@@ -340,12 +589,10 @@ class TestQuartic:
         assert all(root.coefficient(-k) == x.coefficient(-k) for k in range(1, 5))
 
     def test_fixed_point_gains_two_digits_per_step(self):
-        from wordcf.series import LaurentSeries
-
         x = LaurentSeries.zero(GF(3), -40)
         iterates = []
         for _ in range(8):
-            x = verify.quartic_fixed_point_step(x).truncate(-40)
+            x = quartic_fixed_point_step(x).truncate(-40)
             iterates.append(x)
         depths = []
         for a, b in zip(iterates, iterates[1:]):
@@ -361,14 +608,12 @@ class TestQuartic:
             assert verify.quartic_residual(root).is_zero
 
     def test_newton_and_fixed_point_agree(self):
-        from wordcf.series import LaurentSeries
-
         for p in (2, 3, 5, 7):
             field = GF(p)
             # Seed T^-1, then two more exact digits per fixed-point step.
             x = LaurentSeries(field, -1, [field.one, field.zero], -2)
             for _ in range(31):
-                x = verify.quartic_fixed_point_step(x.padded(-64))
+                x = quartic_fixed_point_step(x.padded(-64))
                 if x.known_down < -64:
                     x = x.truncate(-64)
             x = x.truncate(-64)
@@ -476,3 +721,32 @@ class TestSuite:
         assert rep.to_dict()["pass"] is True
         assert verify.CheckReport("x", 1, "a", "b", passed=True).passed is False
         assert rep._replace(actual="b").passed is False
+
+
+def test_claim_checks_run_no_large_euclid_or_series(monkeypatch, capsys):
+    # Past the base row's approximant (denominator degree 21), the claim
+    # checks run no Euclid and expand no fraction as a series.
+    def guarded(original):
+        def call(num, den, *args):
+            if den.degree > 21:
+                raise AssertionError(f"{original.__name__} on a denominator of degree {den.degree}")
+            return original(num, den, *args)
+
+        return call
+
+    for module, name in (
+        (cf, "cf_of_fraction"),
+        (verify, "cf_of_fraction"),
+        (series, "series_of_fraction"),
+    ):
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    verify.theta_expansion.cache_clear()
+    with pytest.raises(AssertionError, match="degree 50"):
+        verify.theta_expansion(4)
+    for n in range(1, 13):
+        assert verify.check_lemma1(n).passed and verify.check_lemma2(n).passed
+    assert all(rep.passed for rep in verify.check_theorem3(12))
+    assert all(rep.passed for rep in verify.check_corollary(12))
+    capsys.readouterr()
+    assert cli.main(["measure", "--max-n", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "n=51 nu=275807/137903 max=3"
