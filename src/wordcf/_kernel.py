@@ -16,6 +16,9 @@ and up) take a per-residue ``int.to_bytes`` path.  Packed ints are read and
 written little-endian (slot i is coefficient i); the array items are in the
 machine's byte order (``sys.byteorder``) and are swapped on a big-endian
 machine.
+
+The module also holds the exact decimal conversions of ints of any size,
+``decimal_str`` and ``decimal_int``, which the text formats go through.
 """
 
 from __future__ import annotations
@@ -123,3 +126,120 @@ def signed_digits(value: int) -> list:
     while digits and not digits[-1]:
         digits.pop()
     return digits
+
+
+def signed_degree(value: int) -> int:
+    """``len(signed_digits(value)) - 1``, the index of the top balanced
+    base-256 digit (-1 for 0), without building the digits.
+
+    With k the index of the top byte of |value|, the balanced digits up to
+    index k reach 0x7F7F...7F above zero and -0x8080...80 below it (k + 1
+    bytes), so the top digit is at k or k + 1, as |value| is at most that
+    pattern or not.  The comparison reads |value| from its top bytes down,
+    in spans that double, so it stops after a few bytes but for values that
+    start with a long run of the pattern byte.
+    """
+    magnitude = abs(value)
+    size = (magnitude.bit_length() + 7) // 8
+    if not size:
+        return -1
+    pattern = b"\x7f" if value > 0 else b"\x80"
+    span = 8
+    while True:
+        span = min(span, size)
+        top = magnitude >> (8 * (size - span))
+        bound = int.from_bytes(pattern * span, "big")
+        if top != bound or span == size:
+            return size - 1 if top <= bound else size
+        span *= 2
+
+
+# ------------------------------------------------------ decimal conversion
+# CPython's own int <-> str conversion is quadratic, so from 3.11 it refuses
+# more digits than sys.get_int_max_str_digits() (4300 by default).  The two
+# routines below give the same text at any size and under any limit, and
+# leave the limit as it is.  Below the limit they are the builtins; above
+# it they divide and conquer, as in Brent & Zimmermann, *Modern Computer
+# Arithmetic*, section 1.7: one split costs a shift or a slice, and the
+# halves are joined by one sub-quadratic product (libmpdec's for int to
+# str, CPython's Karatsuba for str to int).
+
+
+def digits_bound(bits: int) -> int:
+    """An upper bound on the decimal digits of an int of ``bits`` bits:
+    log10(2) < 0.30103."""
+    return bits * 30103 // 100000 + 1
+
+
+# Leaves of the recursions: ints of up to _LEAF_BITS bits are converted by
+# Decimal(int) and digit strings of up to _LEAF_DIGITS characters by int();
+# 512 is below every nonzero limit (Python refuses limits under 640).
+_LEAF_BITS = 1024
+_LEAF_DIGITS = 512
+
+
+def decimal_str(value: int) -> str:
+    """``str(value)`` for an int of any size, whatever the int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or digits_bound(value.bit_length()) <= limit:
+        return str(value)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
+
+    # Every sum and product is exact at this precision; the trap makes sure.
+    context = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+    powers = {}  # k -> 2^k as a Decimal
+
+    def power(k):
+        if k not in powers:
+            if k <= _LEAF_BITS:
+                powers[k] = Decimal(1 << k)
+            else:
+                half = power(k >> 1)
+                square = context.multiply(half, half)
+                powers[k] = context.multiply(square, 2) if k & 1 else square
+        return powers[k]
+
+    def convert(n, bits):
+        # n < 2^bits, as a Decimal: hi 2^k + lo, with both halves converted
+        # the same way.
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        k = bits >> 1
+        hi = n >> k
+        lo = n - (hi << k)
+        return context.add(context.multiply(convert(hi, bits - k), power(k)), convert(lo, k))
+
+    text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
+
+
+def decimal_int(text: str) -> int:
+    """``int(text)`` for a string of decimal digits, with an optional
+    leading ``-``, of any length, whatever the int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(text) <= limit:
+        return int(text)
+    negative = text[0] == "-"
+    digits = text[1:] if negative else text
+    if not digits.isdigit():
+        raise ValueError("not a string of decimal digits")
+    powers = {}  # k -> 10^k
+
+    def power(k):
+        if k not in powers:
+            if k <= _LEAF_DIGITS:
+                powers[k] = 10**k
+            else:
+                half = power(k >> 1)
+                powers[k] = half * half * 10 if k & 1 else half * half
+        return powers[k]
+
+    def convert(start, stop):
+        # text[start:stop] as hi 10^len(lo) + lo.
+        if stop - start <= _LEAF_DIGITS:
+            return int(digits[start:stop])
+        middle = (start + stop + 1) >> 1
+        return convert(start, middle) * power(stop - middle) + convert(middle, stop)
+
+    value = convert(0, len(digits))
+    return -value if negative else value

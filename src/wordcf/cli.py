@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
+from ._kernel import digits_bound
 from .fields import GF, QQ
 from .poly import ParseError
 from .series import PrecisionError
@@ -167,15 +168,16 @@ def _write(args, pieces, bits: int = 0) -> None:
     is opened only when the first batch is ready.
 
     ``bits`` bounds the bit length of every int the pieces format.  When
-    one could exceed the interpreter's int-to-str limit, every piece is
-    formatted before the first write, so that the ValueError leaves stdout
-    empty and the file untouched.
+    that allows more than poly.MAX_INT_DIGITS decimal digits, the job fails
+    with a ValueError before anything is formatted or written: stdout stays
+    empty, and the file is neither created nor touched.  Every int is
+    formatted exactly at any size (``_kernel.decimal_str``), so no output
+    depends on the interpreter's int-to-str limit.
     """
-    limit = sys.get_int_max_str_digits()
-    # log10(2) < 0.30103, so an int of ``bits`` bits has at most this many
-    # decimal digits.
-    if limit and bits * 30103 // 100000 + 1 > limit:
-        pieces = list(pieces)
+    from .poly import MAX_INT_DIGITS
+
+    if digits_bound(bits) > MAX_INT_DIGITS:
+        raise ValueError(f"output integer of {bits} bits is above the budget of {MAX_INT_DIGITS} digits")
     out = None
     try:
         for batch in _batches(pieces):

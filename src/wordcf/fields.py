@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from ._kernel import decimal_str
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -71,7 +73,12 @@ class RationalField:
         return self.div(1, a)
 
     def format_scalar(self, value) -> str:
-        return str(value)
+        """``str(value)``: ``p/q``, or the int; at any size, whatever the
+        interpreter's int-to-str limit (``_kernel.decimal_str``)."""
+        if type(value) is int:
+            return decimal_str(value)
+        num, den = value.numerator, value.denominator
+        return decimal_str(num) if den == 1 else f"{decimal_str(num)}/{decimal_str(den)}"
 
     def __repr__(self):
         return "QQ"

@@ -18,6 +18,9 @@ holds the residues in [0, p) and ``den`` is 1.
 The text format is a sum of ``c*T^k`` terms with rationals as ``p/q``, e.g.
 ``-125/48*T^1 + 25/24*T^0``, and ``parse_ratfunc`` reads that format back
 bit-exactly (plus ordinary expressions like ``(T^3+2*T^2+T-1)/(T^4-T^2)``).
+Integers are written and read by ``_kernel.decimal_str``/``decimal_int``, so
+the round trip holds at any coefficient size up to MAX_INT_DIGITS digits,
+whatever the interpreter's int-to-str limit.
 """
 
 from __future__ import annotations
@@ -612,10 +615,10 @@ class _Parser:
         ):
             return False
         field = self.field
-        c = field.coerce(sign * int(tokens[i][1]))
+        c = field.coerce(sign * _int_token(tokens[i][1]))
         if j > i + 1:
-            c = field.div(c, field.coerce(int(tokens[i + 2][1])))
-        k = int(tokens[j + 3][1])
+            c = field.div(c, field.coerce(_int_token(tokens[i + 2][1])))
+        k = _int_token(tokens[j + 3][1])
         if k > MAX_POWER_DEGREE:
             raise ValueError(f"power of degree above {MAX_POWER_DEGREE} in expression")
         self.pos = j + 4
@@ -650,14 +653,14 @@ class _Parser:
             while self.peek() in "+-":
                 if self.take()[0] == "-":
                     neg = not neg
-            k = int(self.take("int")[1])
+            k = _int_token(self.take("int")[1])
             value = _rf_pow(value, -k if neg else k)
         return value
 
     def atom(self):
         kind = self.peek()
         if kind == "int":
-            c = self.field.coerce(int(self.take()[1]))
+            c = self.field.coerce(_int_token(self.take()[1]))
             return RationalFunction.from_poly(
                 Polynomial.monomial(self.field, c, 0)
             )
@@ -674,6 +677,13 @@ class _Parser:
             self.depth -= 1
             return value
         raise ParseError(f"unexpected token {self.tokens[self.pos][1]!r}")
+
+
+def _int_token(text: str) -> int:
+    """The value of an int token, at most MAX_INT_DIGITS digits long."""
+    if len(text) > MAX_INT_DIGITS:
+        raise ValueError(f"integer above the budget of {MAX_INT_DIGITS} digits in expression")
+    return _kernel.decimal_int(text)
 
 
 def _accumulate(sums, p: Polynomial, sign: int) -> None:
@@ -704,6 +714,10 @@ MAX_POWER_DEGREE = 10**6
 # takes five frames of the recursive descent, so this stays well inside
 # Python's default recursion limit whatever the caller's depth.
 MAX_NESTING = 100
+
+# Most decimal digits of one integer, read from an expression or written
+# out (cli._write): a conversion either way takes about a second.
+MAX_INT_DIGITS = 10**6
 
 # Highest estimated cost of expanding a power, in 64-bit word products:
 # about a second of schoolbook squaring on one core.

@@ -212,18 +212,27 @@ def _measured_order(pair: PackedPair, prec: int) -> int:
     t = deg den + prec - deg E once deg E >= deg den.  At T = X, E is a few
     shifts, and deg E is the position of its top signed digit."""
     e = _times(_packed_word(prefix(prec)), pair.den) - (pair.r << (_X_BITS * prec))
-    deg_e = len(_kernel.signed_digits(e)) - 1
+    deg_e = _kernel.signed_degree(e)
     if deg_e < pair.den[0][1]:
         raise PrecisionError("order exceeds precision")
     return pair.den[0][1] + prec - deg_e
 
 
-def _ladder(n: int) -> tuple:
+def _packed_pairs() -> tuple:
+    """(tail, pure): ``packed_tail_pair`` and ``packed_pure_pair``, as the
+    module names them when called, each building a pair once.  One check
+    shares them, so a pair it reads at several places is packed once."""
+    return functools.cache(packed_tail_pair), functools.cache(packed_pure_pair)
+
+
+def _ladder(n: int, pairs=None) -> tuple:
     """Lemma 3 at n as (delta, sign, delta_ok, rec): delta = (r_n s'_n - r'_n s_n)(X),
-    to be sign (X - 1), and the four recurrences from n to n + 1 as bools."""
+    to be sign (X - 1), and the four recurrences from n to n + 1 as bools.
+    ``pairs`` is a ``_packed_pairs()``, fresh when not given."""
+    tail, pure = pairs or _packed_pairs()
     ell = lengths(n + 2)
-    a, ap = packed_tail_pair(n), packed_pure_pair(n)
-    b, bp = packed_tail_pair(n + 1), packed_pure_pair(n + 1)
+    a, ap = tail(n), pure(n)
+    b, bp = tail(n + 1), pure(n + 1)
     len_f_next = (ell[n + 1] + ell[n] - 1) // 2
     len_v_next = ell[n + 1] + 1
     len_g = (ell[n] + ell[n - 1] + 3) // 2
@@ -279,21 +288,23 @@ def theta_expansion(block_count: int) -> ContinuedFraction:
     return cf_of_fraction(pair.r, pair.s)
 
 
-def theta_degrees(max_n: int) -> list[int]:
+def theta_degrees(max_n: int, pairs=None) -> list[int]:
     """Degrees d_1 .. d_{4 max_n + 4} of theta's expansion as Theorem 3's
     proof derives them: d_1..d_4 from ``theta_expansion(min(max_n, 2) + 1)``,
     then, the pairs at n being the convergents 4n and 4n + 2 of order
     2 deg y_k + d_{k+1} (premises that ``check_theorem3`` checks), from the
     orders t_n, t'_n (each < 3 deg den), D_n = deg s_n and m_n = deg s'_n:
     d_{4n+1} = t_n - 2 D_n, d_{4n+2} = m_n - D_n - d_{4n+1},
-    d_{4n+3} = t'_n - 2 m_n, d_{4n+4} = D_{n+1} - m_n - d_{4n+3}."""
+    d_{4n+3} = t'_n - 2 m_n, d_{4n+4} = D_{n+1} - m_n - d_{4n+3}.
+    ``pairs`` is a ``_packed_pairs()``, fresh when not given."""
+    tail, pure = pairs or _packed_pairs()
     d = theta_expansion(min(max_n, 2) + 1).degrees()[:4]
     for n in range(1, max_n + 1):
-        tail, pure = packed_tail_pair(n), packed_pure_pair(n)
-        big_d, m = tail.den[0][1], pure.den[0][1]
-        d1 = _measured_order(tail, 3 * big_d) - 2 * big_d
-        d3 = _measured_order(pure, 3 * m) - 2 * m
-        d += [d1, m - big_d - d1, d3, packed_tail_pair(n + 1).den[0][1] - m - d3]
+        a, ap = tail(n), pure(n)
+        big_d, m = a.den[0][1], ap.den[0][1]
+        d1 = _measured_order(a, 3 * big_d) - 2 * big_d
+        d3 = _measured_order(ap, 3 * m) - 2 * m
+        d += [d1, m - big_d - d1, d3, tail(n + 1).den[0][1] - m - d3]
     return d
 
 
@@ -317,7 +328,8 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     when every step up to it holds."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    d = theta_degrees(max_n)
+    pairs = _packed_pairs()
+    d = theta_degrees(max_n, pairs)
     ell = lengths(max_n + 1)
     reports: list[CheckReport] = []
 
@@ -333,7 +345,8 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     )
     reports.append(CheckReport("theorem3", 0, base_expected, base_actual))
 
-    placed = sum(d[:4]) == packed_tail_pair(1).den[0][1]
+    tail, _ = pairs
+    placed = sum(d[:4]) == tail(1).den[0][1]
     for n in range(1, max_n + 1):
         d_expected = (
             (3 * ell[n] + ell[n - 1] + 1) // 2,
@@ -342,7 +355,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
             1,
         )
         d_actual = tuple(d[4 * n : 4 * n + 4])
-        _, _, delta_ok, rec = _ladder(n)
+        _, _, delta_ok, rec = _ladder(n, pairs)
         conv_ok = placed and delta_ok and d_actual[0] >= 1
         convp_ok = conv_ok and d_actual[1] >= 1 and d_actual[2] >= 1
         placed = convp_ok and all(rec) and d_actual[3] >= 1

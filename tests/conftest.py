@@ -1,6 +1,7 @@
 """Shared fixtures: the peak memory of a CLI job, measured from a small
-launcher process."""
+launcher process, and the interpreter's int-to-str limit set for a block."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -47,3 +48,20 @@ def excess_rss():
     Called as ``excess_rss(argv, stdout=path)``."""
     base = peak_rss_mib(["word", "--n", "1"])
     return lambda argv, **kwargs: peak_rss_mib(argv, **kwargs) - base
+
+
+@pytest.fixture
+def int_max_str_digits():
+    """A context manager: ``with int_max_str_digits(limit):`` runs the block
+    under that int-to-str limit and restores the old one after it."""
+
+    @contextlib.contextmanager
+    def limited(limit):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    return limited

@@ -245,6 +245,8 @@ def test_verify_choices_are_the_suite_order():
         ["verify", "theorem3", "--max-n", "30"],
         ["cf", "--ratfunc", "(T+1)^999999"],
         ["quartic", "--p", "3", "--prec", "1000000000", "--k", "10"],
+        # Longer than Linux lets one argument of a process be (128 KiB).
+        ["cf", "--ratfunc", "7" * (10**6 + 1) + "*T"],
     ],
 )
 def test_oversized_input_fails_fast(capsys, argv):
@@ -275,6 +277,8 @@ HOSTILE_ARGV = [
     ["measure", "--max-n", "2", "--csv", "{missing}"],
     ["cf", "--ratfunc", "(" * 300 + "T" + ")" * 300],
     ["cf", "--ratfunc", "T^99999999"],
+    # A coefficient of about 1.2 million digits: over the output budget.
+    ["cf", "--ratfunc", "10^400000*10^400000*10^400000"],
     ["quartic", "--p", "4"],
     ["cf", "--field", "0"],
     ["word", "--n", "30"],

@@ -42,7 +42,9 @@ def loaded_by_cli(*argv):
 
 
 def test_bare_import_loads_no_submodule():
-    assert not {m for m in loaded_by("import wordcf") if m.startswith("wordcf.")}
+    # Nor any other module: a probe that times an import after it sees the
+    # interpreter as it was.
+    assert loaded_by("import wordcf") == {"wordcf"}
 
 
 RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"

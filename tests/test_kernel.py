@@ -1,9 +1,13 @@
 """The GF(p) Kronecker kernel at its slot-width steps, and its matrix
 product against the schoolbook convolution.  ``product`` against the
 schoolbook loop at every prime is in test_series.py (``_mul_trunc``) and
-test_poly.py (``Polynomial.__mul__``)."""
+test_poly.py (``Polynomial.__mul__``).  The digit read-backs against their
+full forms, and the decimal conversions against CPython's own ``str`` and
+``int`` with the int-to-str limit lifted."""
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -114,3 +118,84 @@ def test_signed_digits_read_back_balanced_coefficients():
     for digits in cases:
         value = sum(c << (8 * k) for k, c in enumerate(digits))
         assert _kernel.signed_digits(value) == digits
+
+
+def test_signed_degree_matches_digit_count():
+    # The top balanced digit read from the top bytes, against the full
+    # digit list: 0, +-127, +-128, +-(256^k/2 +- 1), runs of the bytes 0x7F
+    # and 0x80 on top (where the comparison reads further down), random.
+    rng = random.Random("signed-degree")
+    values = [0, 127, 128, 129, 255, 256]
+    for k in range(1, 40):
+        half = 256**k // 2
+        values += [half - 1, half, half + 1]
+        for byte in (b"\x7f", b"\x80"):
+            run = int.from_bytes(byte * k, "big")
+            values += [run - 1, run, run + 1]
+    for _ in range(2000):
+        values.append(rng.getrandbits(rng.randrange(1, 4000)))
+        top = rng.choice((b"\x7f", b"\x80")) * rng.randrange(1, 300)
+        values.append(int.from_bytes(top + rng.randbytes(rng.randrange(0, 4)), "big"))
+    for value in values:
+        for v in (value, -value):
+            assert _kernel.signed_degree(v) == len(_kernel.signed_digits(v)) - 1, v
+
+
+# ------------------------------------------------------ decimal conversion
+
+
+def _check_round_trips(values, int_max_str_digits):
+    # The reference is CPython's own conversion with the limit lifted.
+    with int_max_str_digits(0):
+        texts = [str(v) for v in values]
+    for limit in (640, 4300, 0):
+        with int_max_str_digits(limit):
+            for value, text in zip(values, texts):
+                assert _kernel.decimal_str(value) == text, (limit, value.bit_length())
+                assert _kernel.decimal_int(text) == value, (limit, len(text))
+
+
+def test_decimal_conversion_at_edge_values(int_max_str_digits):
+    # 0, +-1, +-10^k and +-(10^k - 1) around every limit and leaf size, and
+    # ints next to the split points 2^k of the recursion.
+    values = [0, 1]
+    for k in (1, 2, 511, 512, 513, 639, 640, 641, 4299, 4300, 4301, 9020, 20000):
+        values += [10**k, 10**k - 1, 10**k + 1]
+    for k in (1023, 1024, 1025, 2048, 2049, 2100, 14283, 14284, 14285, 65536, 100003):
+        values += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    _check_round_trips(values + [-v for v in values], int_max_str_digits)
+
+
+def test_decimal_conversion_at_random_sizes(int_max_str_digits):
+    rng = random.Random("decimal-conversion")
+    values = []
+    for digits in (5, 600, 700, 4300, 5000, 12345, 54321, 100000):
+        for _ in range(3):
+            value = rng.randrange(10 ** (digits - 1), 10**digits)
+            values.append(value if rng.random() < 0.5 else -value)
+    for _ in range(40):
+        values.append(rng.getrandbits(rng.randrange(1, 60000)) * rng.choice((1, -1)))
+    _check_round_trips(values, int_max_str_digits)
+
+
+def test_decimal_int_rejects_what_is_not_digits(int_max_str_digits):
+    # Above the limit the string is split, so a sign in a half must not
+    # read as a signed part.
+    with int_max_str_digits(640):
+        for text in ("1" * 700 + "-1" + "1" * 300, "1" * 900 + " ", "-" + "1" * 500 + "x" * 500, "--" + "1" * 700):
+            with pytest.raises(ValueError):
+                _kernel.decimal_int(text)
+
+
+def test_decimal_conversion_of_a_million_digits_is_fast(int_max_str_digits):
+    # CPython's own quadratic conversion takes about 19 s to write such an
+    # int; both directions here are sub-quadratic.
+    value = random.Random("million").randrange(10**999999, 10**1000000)
+    with int_max_str_digits(4300):
+        start = time.perf_counter()
+        text = _kernel.decimal_str(value)
+        middle = time.perf_counter()
+        back = _kernel.decimal_int(text)
+        end = time.perf_counter()
+    assert len(text) == 1000000 and back == value
+    assert middle - start < 5 and end - middle < 5

@@ -1,7 +1,9 @@
 """Streamed output: the writer against the whole-string path it replaced,
-a formatting failure before the first byte, and peak memory that does not
-grow with the size of the output."""
+the same bytes under any int-to-str limit, a budget failure before the first
+byte, big coefficients against CPython's own conversion, and peak memory that
+does not grow with the size of the output."""
 
+import importlib.util
 import io
 import json
 import os
@@ -213,7 +215,7 @@ def test_writer_sends_bounded_batches(monkeypatch):
     assert all(size <= cli._BATCH + 10 for size in out.sizes[:-2])
 
 
-# ---------------------------------------------- failure before the first byte
+# ------------------------------------------------ any int-to-str limit
 
 
 def dense_fraction(degree: int, seed: int) -> str:
@@ -237,33 +239,85 @@ def run_module(argv, **env):
     )
 
 
-LIMIT_ERROR = (
-    b"error: Exceeds the limit (4300 digits) for integer string conversion; "
-    b"use sys.set_int_max_str_digits() to increase the limit\n"
-)
+@pytest.mark.parametrize("command", ["cf", "convergents"])
+def test_output_does_not_depend_on_the_int_limit(command):
+    # Degree 60 reaches quotient coefficients of about 9000 digits, over
+    # CPython's default int-to-str limit of 4300: at the smallest limit, the
+    # default one and none, the job prints the same bytes.
+    argv = [command, "--ratfunc", dense_fraction(60, 0)]
+    outputs = set()
+    for limit in ("640", "4300", "0"):
+        proc = run_module(argv, PYTHONINTMAXSTRDIGITS=limit)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert len(outputs.pop()) > 10**5
 
 
 @pytest.mark.parametrize("command", ["cf", "convergents"])
-def test_formatting_failure_writes_nothing(command, tmp_path):
-    # Degree 60 reaches quotient coefficients beyond 4300 digits: the job
-    # fails while formatting, and the writer must have written nothing.
-    argv = [command, "--ratfunc", dense_fraction(60, 0)]
-    proc = run_module(argv, PYTHONINTMAXSTRDIGITS="4300")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", LIMIT_ERROR)
+def test_budget_failure_writes_nothing(command, monkeypatch, capsys, tmp_path):
+    # Over the output-digit budget the job fails before the first byte:
+    # stdout stays empty, and an --output file is neither written nor
+    # created.
+    from wordcf import poly
 
+    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 2000)
+    argv = [command, "--ratfunc", dense_fraction(60, 0)]
+
+    def fails_with_one_line(argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: output integer of ")
+        assert err.endswith(" bits is above the budget of 2000 digits\n") and err.count("\n") == 1
+
+    fails_with_one_line(argv)
     kept = tmp_path / "kept.txt"
     kept.write_text("earlier output\n")
     missing = tmp_path / "missing.txt"
     for path in (kept, missing):
-        proc = run_module([*argv, "--output", str(path)], PYTHONINTMAXSTRDIGITS="4300")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", LIMIT_ERROR)
+        fails_with_one_line([*argv, "--output", str(path)])
     assert kept.read_text() == "earlier output\n"
     assert not missing.exists()
 
-    # The guard reads the live limit: without one, the same job succeeds.
+
+# ------------------------------------------------- big coefficients: oracle
+# perfbench's dense fractions of degree 45, 52 and 60 print coefficients of
+# 4613, 6430 and 9020 digits; its golden files recorded them as failures.
+# The reference is the same argv run by CPython's own conversion, with no
+# int-to-str limit.
+
+
+def _bench_dense_fraction():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.dense_fraction
+
+
+bench_dense_fraction = _bench_dense_fraction()
+
+ORACLE_CASES = [
+    ("cf", degree, variant, fmt)
+    for degree in (45, 52, 60)
+    for variant in range(4)
+    for fmt in ("text", "json")
+] + [("convergents", 60, 0, "text")]
+
+
+@pytest.mark.parametrize("command, degree, variant, fmt", ORACLE_CASES)
+def test_big_coefficients_match_the_unlimited_builtin(command, degree, variant, fmt, capsys, int_max_str_digits):
+    argv = [command, "--ratfunc", bench_dense_fraction(degree, variant), "--format", fmt]
+    with int_max_str_digits(4300):
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
     proc = run_module(argv, PYTHONINTMAXSTRDIGITS="0")
-    assert proc.returncode == 0 and proc.stderr == b""
-    assert proc.stdout.endswith(b"\n") and len(proc.stdout) > 10**5
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.encode("utf-8") == proc.stdout
 
 
 # ------------------------------------------------------------- peak memory

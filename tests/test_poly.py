@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,38 @@ def test_format_examples():
     assert format_poly(p) == "-125/48*T^1 + 25/24*T^0"
     assert parse_poly("-125/48*T^1 + 25/24*T^0") == p
     assert format_poly(Polynomial.zero(QQ)) == "0"
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_text_format_round_trip_with_huge_coefficients(limit, int_max_str_digits):
+    # 10^4-digit numerators and denominators under an int-to-str limit: the
+    # text is the one CPython writes with the limit lifted, and it reads back
+    # bit-exactly.
+    rng = random.Random("huge-coefficients")
+
+    def big():
+        return rng.randrange(10**9999, 10**10000)
+
+    coeffs = [Fraction(rng.choice((1, -1)) * big(), big()) for _ in range(4)]
+    p = Polynomial(QQ, [*coeffs, -big(), 0, Fraction(1, big()), 7])
+    with int_max_str_digits(0):
+        reference = " + ".join(f"{c}*T^{k}" for k, c in reversed(p.nonzero_terms()))
+    with int_max_str_digits(limit):
+        text = format_poly(p)
+        assert text == reference
+        value = parse_ratfunc(text)
+    assert value.num == p and value.den == Polynomial.one(QQ)
+
+
+def test_int_token_over_digit_budget_fails_before_conversion(monkeypatch):
+    from wordcf import poly
+
+    assert parse_poly("1" * 5000 + "*T^2") == Polynomial.monomial(QQ, (10**5000 - 1) // 9, 2)
+    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 50)
+    assert parse_poly("9" * 50 + "*T^2") == Polynomial.monomial(QQ, 10**50 - 1, 2)
+    for text in ("1" * 51, "1" * 51 + "*T^3", "2/" + "3" * 51 + "*T", "T^" + "0" * 51, "(" + "1" * 51 + ")*T"):
+        with pytest.raises(ValueError, match="integer above the budget of 50 digits"):
+            parse_ratfunc(text)
 
 
 def test_parse_ratfunc_cli_syntax():

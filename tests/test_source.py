@@ -37,6 +37,17 @@ def test_no_floating_point():
     assert SOURCES and not found, found
 
 
+def test_int_to_str_limit_is_never_changed():
+    # Conversions above the limit go through _kernel.decimal_str and
+    # decimal_int; the interpreter's limit stays as the process set it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "set_int_max_str_digits"
+    ]
+    assert SOURCES and not found, found
+
+
 def _imports():
     """(path, line, top-level module name) of every absolute import."""
     for path, node in _nodes():

@@ -444,15 +444,15 @@ class TestTheorem3:
         real_ladder, real_degrees = verify._ladder, verify.theta_degrees
         kind, _, where = fault.partition("@")
 
-        def ladder(n):
-            delta, sign, delta_ok, rec = real_ladder(n)
+        def ladder(n, pairs=None):
+            delta, sign, delta_ok, rec = real_ladder(n, pairs)
             if str(n) == where:
                 delta_ok = delta_ok and kind != "delta"
                 rec = [r and kind != "rec" for r in rec[:1]] + list(rec[1:])
             return delta, sign, delta_ok, rec
 
-        def degrees(max_n):
-            d = real_degrees(max_n)
+        def degrees(max_n, pairs=None):
+            d = real_degrees(max_n, pairs)
             if kind == "base":
                 d[0] += 1
             elif kind.startswith("d_"):
@@ -486,6 +486,16 @@ class TestTheorem3:
     @pytest.mark.parametrize("max_n", range(1, 11))
     def test_reports_match_euclid_oracle(self, max_n):
         assert verify.check_theorem3(max_n) == _theorem3_oracle(max_n)
+
+    def test_each_pair_is_packed_once(self, monkeypatch):
+        # theta_degrees and every rung of the ladder share the pairs of one
+        # check: n = 1..max_n + 1, one build each.
+        built = []
+        for name in ("packed_tail_pair", "packed_pure_pair"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda n, real=real, name=name: built.append((name, n)) or real(n))
+        assert all(rep.passed for rep in verify.check_theorem3(5))
+        assert sorted(built) == [(name, n) for name in ("packed_pure_pair", "packed_tail_pair") for n in range(1, 7)]
 
     def test_derived_degrees_match_euclid(self):
         for max_n in range(1, 12):
