@@ -38,16 +38,13 @@ _EXPORTS = {
             "aux_words",
             "block",
             "check_identities",
-            "first_difference_rank",
             "first_letters_differ",
             "last_letters_differ",
             "length_closed_form_ok",
             "lengths",
             "prefix",
             "residual_suffixes",
-            "tail_periodic_symbols",
             "theta_series",
-            "word_fraction",
             "word_poly",
         ),
         "words",
@@ -61,7 +58,6 @@ _EXPORTS = {
             "cf_of_fraction",
             "cf_of_series",
             "convergents",
-            "eval_cf",
             "measure_terms",
         ),
         "cf",
@@ -84,7 +80,6 @@ _EXPORTS = {
             "conjecture_row",
             "pure_periodic_pair",
             "quartic_expansion",
-            "quartic_lambda_check",
             "quartic_root",
             "run_suite",
             "tail_periodic_pair",

@@ -14,7 +14,7 @@ from itertools import compress, islice
 
 from . import _kernel
 from .fields import check_same_field
-from .poly import Polynomial, RationalFunction, _divmod_gfp
+from .poly import Polynomial, _divmod_gfp
 from .series import LaurentSeries, PrecisionError
 
 
@@ -65,17 +65,6 @@ class ConvergentTable(namedtuple("ConvergentTable", "rows")):
 
     __slots__ = ()
 
-    def pair(self, n: int) -> tuple[Polynomial, Polynomial]:
-        return self.rows[n]
-
-    def determinant(self, n: int) -> Polynomial:
-        """x_n y_{n-1} - x_{n-1} y_n; alternates between +1 and -1."""
-        if n < 1:
-            raise ValueError("determinant needs n >= 1")
-        x_n, y_n = self.rows[n]
-        x_p, y_p = self.rows[n - 1]
-        return x_n * y_p - x_p * y_n
-
     def __len__(self):
         return len(self.rows)
 
@@ -107,18 +96,6 @@ def cf_of_fraction(num: Polynomial, den: Polynomial) -> ContinuedFraction:
     a0, r = divmod(num, den)
     partials, _ = _certified_euclid(den, r, 2 * den.degree)
     return ContinuedFraction((a0, *partials))
-
-
-def eval_cf(cf: ContinuedFraction) -> RationalFunction:
-    """Collapse a finite continued fraction back to a reduced fraction,
-    folding the quotients from the back."""
-    *head, last = cf.quotients
-    x, y = last, Polynomial.one(cf.field)
-    for a in reversed(head):
-        x, y = a * x + y, x
-    # (x, y) are the continuants of the table's last row, so gcd(x, y) = 1
-    # by the determinant identity: skip the gcd.
-    return RationalFunction._from_coprime(x, y)
 
 
 class SeriesExpansion(namedtuple("SeriesExpansion", "cf emitted precision_consumed terminated")):

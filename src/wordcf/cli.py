@@ -10,11 +10,12 @@ produce byte-identical output.  Exit codes: 0 all requested checks pass,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from itertools import chain
 
-from ._kernel import digits_bound
+from ._kernel import decimal_int, digits_bound
 from .fields import GF, QQ
 from .poly import ParseError
 from .series import PrecisionError
@@ -33,17 +34,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# A number in an option: a signed integer, or p/q with q unsigned, in ASCII digits.
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _number(num: str, den: str | None = None):
+    """num, or num/den as a Fraction unless integral, read exactly whatever
+    the int-to-str limit; each has at most poly.MAX_INT_DIGITS digits."""
+    from .poly import MAX_INT_DIGITS
+
+    if max(len(num.lstrip("+-")), len(den or "")) > MAX_INT_DIGITS:
+        raise UsageError(f"integer above the budget of {MAX_INT_DIGITS} digits in an option")
+    value = decimal_int(num.lstrip("+"))
+    return value if den is None else QQ.coerce(Fraction(value, decimal_int(den)))
+
+
 # The ``type=`` callables raise UsageError, which argparse lets through
 # unchanged (it rewrites only ValueError, TypeError and ArgumentTypeError).
 def _parse_field(text: str):
     if text in ("Q", "q"):
         return QQ
+    match = _NUMBER.fullmatch(text.strip())
+    if match is None or match[2] is not None:
+        raise UsageError(f"field must be Q or a prime number, got {text!r}")
     try:
-        p = int(text, 10)
-    except ValueError as exc:
-        raise UsageError(f"field must be Q or a prime number, got {text!r}") from exc
-    try:
-        return GF(p)
+        return GF(_number(match[1]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -52,11 +67,13 @@ def _parse_pair(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError("alphabet must be two comma-separated rationals, e.g. 1,-1")
+    matches = [_NUMBER.fullmatch(part.strip()) for part in parts]
+    if None in matches:
+        raise UsageError(f"bad alphabet pair {text!r}")
     try:
-        values = tuple(Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        a, b = (_number(*m.groups()) for m in matches)
+    except ZeroDivisionError as exc:
         raise UsageError(f"bad alphabet pair {text!r}") from exc
-    a, b = (v.numerator if v.denominator == 1 else v for v in values)
     if a == b:
         raise UsageError("alphabet letters must be distinct")
     return (a, b)
@@ -425,9 +442,10 @@ def _alphabet(args) -> int:
     from .poly import format_poly
 
     variant = verify.alphabet_variant(*args.pair)
+    letters = [QQ.format_scalar(v) for v in variant.alphabet]
     if args.format == "json":
         payload = {
-            "alphabet": [str(v) for v in variant.alphabet],
+            "alphabet": letters,
             "num": format_poly(variant.r),
             "den": format_poly(variant.s),
             "gcd": format_poly(variant.gcd),
@@ -437,7 +455,7 @@ def _alphabet(args) -> int:
         _write(args, _json(payload))
     else:
         lines = [
-            f"alphabet: {variant.alphabet[0]},{variant.alphabet[1]}",
+            f"alphabet: {letters[0]},{letters[1]}",
             f"num: {format_poly(variant.r)}",
             f"den: {format_poly(variant.s)}",
             f"gcd: {format_poly(variant.gcd)}",

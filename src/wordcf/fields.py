@@ -14,11 +14,16 @@ from fractions import Fraction
 
 from ._kernel import decimal_str
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to every base of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86 (2017)).  Below it is_prime is exact; the moduli
+# of GF(p) are kept below it.
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, valid for every n below MR_BOUND."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -99,6 +104,8 @@ class PrimeField:
     """The field GF(p), p prime.  Elements are int residues in [0, p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= MR_BOUND:
+            raise ValueError(f"modulus must be below {MR_BOUND}, where primality is certified")
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
         self.p = p

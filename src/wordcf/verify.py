@@ -5,6 +5,8 @@ shapes, the quartic root over GF(p), and the alphabet variant.
 Every check builds an ``expected`` and an ``actual`` string in the same
 canonical form (exact-arithmetic text formats); a check passes exactly when
 the two strings are equal, which keeps reports auditable.
+No command runs ``pure_periodic_pair``; the tests and the benchmark tracer
+read it.  The slower references that the checks replaced live in the tests.
 """
 
 from __future__ import annotations
@@ -404,46 +406,24 @@ class ConjectureRow(namedtuple("ConjectureRow", "n r_n lambdas predicted")):
     __slots__ = ()
 
 
-def _ratio_sequence(upto: int) -> list[Fraction]:
-    ell = lengths(upto)
-    return [Fraction(4 * (2 * ell[n] - ell[n - 1] + 1), 25) for n in range(upto + 1)]
-
-
-def _exact_quotient(num: Polynomial, den: Polynomial) -> Polynomial:
-    q, rem = divmod(num, den)
-    if not rem.is_zero:
-        raise ArithmeticError("conjectured shape is not divisible by T - 1")
-    return q
-
-
 def conjecture_row(n: int) -> ConjectureRow:
     ell = lengths(n + 1)
-    r = _ratio_sequence(n + 1)
+    r, r_next = (Fraction(4 * (2 * ell[k] - ell[k - 1] + 1), 25) for k in (n, n + 1))
     sign = 1 if n % 2 == 1 else -1  # (-1)^(n+1)
-    lam1 = sign * r[n] ** 2
-    lam2 = sign / (r[n] ** 2 + r[n] * r[n + 1])
-    lam3 = sign * (r[n] + r[n + 1]) ** 2
-    lam4 = sign / (r[n + 1] ** 2 + r[n] * r[n + 1])
-    t_minus_1 = Polynomial(QQ, [-1, 1])
+    lam1 = sign * r**2
+    lam2 = sign / (r**2 + r * r_next)
+    lam3 = sign * (r + r_next) ** 2
+    lam4 = sign / (r_next**2 + r * r_next)
     high = (3 * ell[n] + ell[n - 1] + 3) // 2
     mid = (ell[n] + ell[n - 1] + 1) // 2
     small = (ell[n] + ell[n - 1] + 3) // 2
-    shape1 = _exact_quotient(
-        Polynomial.monomial(QQ, 1, high)
-        + Polynomial.monomial(QQ, 1, mid)
-        + Polynomial.monomial(QQ, -2, 0),
-        t_minus_1,
-    )
-    shape3 = _exact_quotient(
-        Polynomial.monomial(QQ, 1, small) + Polynomial.monomial(QQ, -1, 0), t_minus_1
-    )
-    predicted = (
-        shape1.scale(lam1),
-        t_minus_1.scale(lam2),
-        shape3.scale(lam3),
-        t_minus_1.scale(lam4),
-    )
-    return ConjectureRow(n=n, r_n=r[n], lambdas=(lam1, lam2, lam3, lam4), predicted=predicted)
+    # T^k - 1 = (T - 1)(1 + T + ... + T^(k-1)), so the shapes (T^high + T^mid - 2)/(T - 1)
+    # and (T^small - 1)/(T - 1) are runs of 2s and 1s (high > mid).
+    shape1 = Polynomial._raw(QQ, [2] * mid + [1] * (high - mid))
+    shape3 = Polynomial._raw(QQ, [1] * small)
+    t_minus_1 = Polynomial(QQ, [-1, 1])
+    predicted = (shape1.scale(lam1), t_minus_1.scale(lam2), shape3.scale(lam3), t_minus_1.scale(lam4))
+    return ConjectureRow(n=n, r_n=r, lambdas=(lam1, lam2, lam3, lam4), predicted=predicted)
 
 
 class ConjectureOutcome(namedtuple("ConjectureOutcome", "reports rows findings")):
@@ -572,15 +552,10 @@ def quartic_expansion(p: int, prec: int) -> QuarticExpansion:
     )
 
 
-def quartic_lambda_check(prec: int, count: int) -> CheckReport:
-    """Over GF(3): every certified partial quotient is a monomial c*T^u with
-    c in {1, 2}, and the first ``count`` coefficients spell the word prefix."""
-    return quartic_lambda_report(quartic_expansion(3, prec), count)
-
-
 def quartic_lambda_report(expansion: QuarticExpansion, count: int) -> CheckReport:
-    """The check of ``quartic_lambda_check`` on an already built GF(3)
-    expansion; a shortfall message names the precision of its root."""
+    """Over GF(3), on ``quartic_expansion(3, prec)``: every certified partial
+    quotient is a monomial c*T^u with c in {1, 2}, and the first ``count``
+    coefficients spell the word prefix; a shortfall names the root's prec."""
     prec = -expansion.root.known_down
     if len(expansion.lambdas) < count and expansion.monomial:
         raise PrecisionError(

@@ -8,20 +8,18 @@ strings over the symbols "1"/"2"; an alphabet pair maps the symbols to field
 elements (default (1, 2)) only when a word is encoded as a polynomial.
 
 Infinite-word access is by prefix materialization from the memoized block
-ladder; at the scales used here (<= ~10^6 letters) this keeps stream
-comparisons trivial.
+ladder.  The word identities (``check_identities`` and its helpers) are
+library API that no command runs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import namedtuple
-from collections.abc import Iterable
 from math import lcm
 
 from .fields import QQ
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial
 from .series import LaurentSeries
 
 # Longest block the ladder builds, about 20 times the largest the checks
@@ -191,44 +189,6 @@ def word_poly(w: str, field=QQ, alphabet=(1, 2)) -> Polynomial:
     except KeyError as exc:
         raise ValueError("word symbols must be '1' or '2'") from exc
     return Polynomial._over(field, coeffs, den)
-
-
-def word_fraction(w: str, field=QQ) -> RationalFunction:
-    """The word polynomial divided by T^len, reduced."""
-    num = word_poly(w, field)
-    k = len(w)
-    if num.is_zero:
-        return RationalFunction(num, Polynomial.one(field))
-    # The denominator is the monomial T^k: reduce by the shared power of T.
-    val = 0
-    while not num.ints[val]:
-        val += 1
-    common = min(val, k)
-    num = Polynomial._raw(field, num.ints[common:], num.den)
-    return RationalFunction._from_coprime(
-        num, Polynomial.monomial(field, field.one, k - common)
-    )
-
-
-def first_difference_rank(a: Iterable, b: Iterable, horizon: int | None = None) -> int:
-    """1-based rank of the first position where the two streams differ."""
-    paired = zip(a, b)
-    if horizon is not None:
-        paired = itertools.islice(paired, horizon)
-    for rank, (x, y) in enumerate(paired, start=1):
-        if x != y:
-            return rank
-    raise ValueError("streams agree to horizon")
-
-
-def tail_periodic_symbols(head: str, period: str, count: int) -> str:
-    """First ``count`` symbols of head followed by endlessly repeated period."""
-    if count <= len(head):
-        return head[:count]
-    if not period:
-        raise ValueError("empty period cannot reach the requested length")
-    reps = -(-(count - len(head)) // len(period))
-    return (head + period * reps)[:count]
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from wordcf.fields import QQ
 from wordcf.poly import Polynomial, RationalFunction, _euclid_gcd, parse_poly, poly_gcd
-from wordcf.cf import cf_of_fraction, convergents, eval_cf, measure_terms
+from wordcf.cf import cf_of_fraction, convergents, measure_terms
 from wordcf.words import (
     length_closed_form_ok,
     lengths,
@@ -19,6 +19,8 @@ from wordcf.words import (
     word_poly,
 )
 from wordcf import verify
+
+from oracles import determinant, eval_cf
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -119,7 +121,7 @@ def test_criterion_8_quartic_over_gf3():
     root = verify.quartic_root(3, 1000)
     residual = verify.quartic_residual(root)
     expansion = verify.quartic_expansion(3, 1000)
-    report = verify.quartic_lambda_check(1000, 100)
+    report = verify.quartic_lambda_report(expansion, 100)
     elapsed = time.perf_counter() - start
     ok = residual.is_zero and residual.known_down <= -999
     ok = ok and expansion.monomial
@@ -163,7 +165,7 @@ def test_criterion_10_property_suites():
         table = convergents(cf)
         for k in range(1, len(table)):
             want = Polynomial(QQ, [1 if k % 2 == 1 else -1])
-            if table.determinant(k) != want:
+            if determinant(table, k) != want:
                 failures += 1
                 break
 

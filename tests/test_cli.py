@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -89,10 +90,8 @@ def test_verify_all_quick(capsys):
     assert out.splitlines()[-1].startswith("PASS ")
 
 
-def test_forced_failure_gives_exit_two(capsys, monkeypatch):
-    # Corrupt the first approximant numerator, in the packed form lemma 3
-    # reads (r + 1 at T = 2^8 is the value plus one): the suite must notice
-    # and the process contract must report it as a check failure.
+def corrupt_first_packed_numerator(monkeypatch):
+    """r + 1 in the packed tail pair at n = 1 (its value at T = 2^8 plus one)."""
     real = verify.packed_tail_pair
 
     def corrupted(n):
@@ -100,6 +99,13 @@ def test_forced_failure_gives_exit_two(capsys, monkeypatch):
         return pair._replace(r=pair.r + 1) if n == 1 else pair
 
     monkeypatch.setattr(verify, "packed_tail_pair", corrupted)
+
+
+def test_forced_failure_gives_exit_two(capsys, monkeypatch):
+    # Corrupt the first approximant numerator, in the packed form lemma 3
+    # reads: the suite must notice and the process contract must report it
+    # as a check failure.
+    corrupt_first_packed_numerator(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "lemma3", "--max-n", "2")
     assert code == 2
     assert "FAIL" in out
@@ -108,13 +114,7 @@ def test_forced_failure_gives_exit_two(capsys, monkeypatch):
 
 def test_forced_pair_failure_gives_exit_two(capsys, monkeypatch):
     # The same corruption in the packed pair that the exponent laws measure.
-    real = verify.packed_tail_pair
-
-    def corrupted(n):
-        pair = real(n)
-        return pair._replace(r=pair.r + 1) if n == 1 else pair
-
-    monkeypatch.setattr(verify, "packed_tail_pair", corrupted)
+    corrupt_first_packed_numerator(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "lemma1", "--max-n", "2")
     assert code == 2
     assert "FAIL" in out
@@ -181,6 +181,39 @@ def test_theta_over_prime_field(capsys):
 def test_field_must_be_prime(capsys):
     code, _, err = run_cli(capsys, "theta", "--prec", "5", "--field", "6")
     assert code == 1 and "prime" in err
+
+
+@pytest.mark.parametrize(
+    "text, pair",
+    [("1,-1", (1, -1)), ("+1, 1/2", (1, Fraction(1, 2))), ("4/2,3", (2, 3)), (" -3/6 ,0", (Fraction(-1, 2), 0))],
+)
+def test_pair_reads_integers_and_fractions(text, pair):
+    values = cli._parse_pair(text)
+    assert values == pair and list(map(type, values)) == list(map(type, pair))
+
+
+# Decimals, exponents, digit groups and non-ASCII digits, which Fraction
+# reads, are not numbers of an option; nor are a signed or zero denominator.
+@pytest.mark.parametrize("text", ["1.5,2", "1e3,2", "1_0,2", "\u0661,2", "1 /2,3", "1/-2,3", "1/0,2", "x,2"])
+def test_pair_refuses_other_syntax(text):
+    with pytest.raises(cli.UsageError, match="bad alphabet pair"):
+        cli._parse_pair(text)
+
+
+@pytest.mark.parametrize("text", ["1.5", "7_0", "1/2", "\u0667", ""])
+def test_field_refuses_other_syntax(text):
+    with pytest.raises(cli.UsageError, match="field must be Q or a prime number"):
+        cli._parse_field(text)
+
+
+def test_option_integers_have_a_digit_budget(monkeypatch):
+    from wordcf import poly
+
+    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 5)
+    assert cli._parse_pair("-12345,1/99999") == (-12345, Fraction(1, 99999))
+    for parse, text in ((cli._parse_pair, "1,123456"), (cli._parse_pair, "1/123456,2"), (cli._parse_field, "+123456")):
+        with pytest.raises(cli.UsageError, match="integer above the budget of 5 digits in an option"):
+            parse(text)
 
 
 def test_output_file_and_csv(tmp_path, capsys):
@@ -281,6 +314,8 @@ HOSTILE_ARGV = [
     ["cf", "--ratfunc", "10^400000*10^400000*10^400000"],
     ["quartic", "--p", "4"],
     ["cf", "--field", "0"],
+    # Far past the bound of certified primality: refused before any test.
+    ["theta", "--field", "1" + "0" * 99999 + "1"],
     ["word", "--n", "30"],
 ]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordcf.fields import GF, QQ, check_same_field, is_prime
+from wordcf.fields import GF, MR_BOUND, QQ, check_same_field, is_prime
 from wordcf.poly import Polynomial, format_poly, parse_poly
 
 residue3 = st.integers(min_value=0, max_value=2)
@@ -23,6 +23,16 @@ def test_gf_requires_prime():
 def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == primes
+
+
+def test_is_prime_is_exact_below_its_bound():
+    # The least strong pseudoprime to the bases 2..37 is composite; only the
+    # next base, 41, exposes it.  Above MR_BOUND no modulus is accepted.
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(2**61 - 1) and GF(2**61 - 1).p == 2**61 - 1
+    for p in (MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"modulus must be below {MR_BOUND}"):
+            GF(p)
 
 
 def test_gf_identity_cached():

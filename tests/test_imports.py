@@ -4,6 +4,7 @@ lazy package namespace."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -107,3 +108,13 @@ def test_unknown_name_raises_attribute_error():
         wordcf.no_such_name
     with pytest.raises(ImportError):
         from wordcf import no_such_name  # noqa: F401
+
+
+def test_every_export_is_named_in_the_readme():
+    # The public surface is what a command runs, what the benchmark tracer
+    # binds, or what the README documents: a name added to __all__ must be
+    # named in a code span of the README too.
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        prose = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", prose) for word in re.findall(r"\w+", span)}
+    assert [name for name in wordcf.__all__ if name not in named] == []

@@ -239,19 +239,33 @@ def run_module(argv, **env):
     )
 
 
-@pytest.mark.parametrize("command", ["cf", "convergents"])
-def test_output_does_not_depend_on_the_int_limit(command):
-    # Degree 60 reaches quotient coefficients of about 9000 digits, over
-    # CPython's default int-to-str limit of 4300: at the smallest limit, the
-    # default one and none, the job prints the same bytes.
-    argv = [command, "--ratfunc", dense_fraction(60, 0)]
-    outputs = set()
-    for limit in ("640", "4300", "0"):
-        proc = run_module(argv, PYTHONINTMAXSTRDIGITS=limit)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
-    assert len(outputs.pop()) > 10**5
+@pytest.mark.parametrize(
+    "argv, code, start",
+    [
+        (["cf", "--ratfunc", dense_fraction(60, 0)], 0, None),
+        (["convergents", "--ratfunc", dense_fraction(60, 0)], 0, None),
+        (["alphabet", "--pair", "1," + "3" * 700], 0, "alphabet: 1," + "3" * 700 + "\n"),
+        (["theta", "--field", "3" * 700], 1, "usage error: modulus must be below 3317044064679887385961981"),
+    ],
+    ids=["cf", "convergents", "alphabet-pair", "theta-field"],
+)
+def test_output_does_not_depend_on_the_int_limit(argv, code, start):
+    # At the smallest limit, the default one and none, the job prints the
+    # same bytes.  Degree 60 reaches quotient coefficients of about 9000
+    # digits, over CPython's default int-to-str limit of 4300; the options
+    # take a 700-digit number, which is read and echoed exactly.
+    outcomes = {
+        (proc.returncode, proc.stdout, proc.stderr)
+        for proc in (run_module(argv, PYTHONINTMAXSTRDIGITS=limit) for limit in ("640", "4300", "0"))
+    }
+    assert len(outcomes) == 1
+    returncode, out, err = outcomes.pop()
+    assert returncode == code
+    if code == 0:
+        assert err == b""
+        assert out.decode("utf-8").startswith(start) if start else len(out) > 10**5
+    else:
+        assert err.decode("utf-8").startswith(start)
 
 
 @pytest.mark.parametrize("command", ["cf", "convergents"])

@@ -314,6 +314,17 @@ def test_sparse_by_sparse_product_of_long_binomials():
     assert a * b == _schoolbook_mul(a, b)
 
 
+def test_sparse_power_parses_within_a_second():
+    # The sparse product loop keeps the powers of sparse sums that the cost
+    # budget admits cheap: about 0.2 s here, 1.2 s with the dense loop alone.
+    import timeit
+
+    text = "(T^100000+T^50000+1)^10"
+    small = parse_poly("(T^2+T+1)^10").nonzero_terms()
+    assert parse_poly(text).nonzero_terms() == [(50000 * k, c) for k, c in small]
+    assert min(timeit.repeat(lambda: parse_poly(text), number=1, repeat=3)) < 1.0
+
+
 @given(a=poly_q, b=poly_q)
 def test_sub_is_add_of_negation(a, b):
     assert a - b == a + (-b)

@@ -9,7 +9,9 @@ from wordcf.fields import GF, QQ
 from wordcf.poly import Polynomial, format_poly, parse_poly, poly_gcd
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.cf import cf_of_fraction, cf_of_series, convergents, measure_terms
-from wordcf.words import first_difference_rank, lengths, prefix, theta_series
+from wordcf.words import lengths, prefix, theta_series
+
+import oracles
 
 
 def _at_x(p):
@@ -522,12 +524,12 @@ class TestTheorem3:
                 (pair.r + pair.s, pair.s.scale(2)),
                 (pairp.r * t_plus_1, pairp.s * t_plus_1),
                 (pair.r * t_plus_1, pair.s * t_plus_1),
-                table.pair(4 * n - 1),
-                table.pair(4 * n + 1),
+                table.rows[4 * n - 1],
+                table.rows[4 * n + 1],
             ]
             for k in (4 * n, 4 * n + 2):
                 verdicts = [is_convergent(cf, k, r, s) for r, s in candidates]
-                assert verdicts == [same_fraction(*table.pair(k), r, s) for r, s in candidates]
+                assert verdicts == [same_fraction(*table.rows[k], r, s) for r, s in candidates]
                 assert any(verdicts) and not all(verdicts)
 
 
@@ -579,6 +581,16 @@ class TestConjecture:
         row = verify.conjecture_row(1)
         assert tuple(cf.quotients[5:9]) == row.predicted
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_row_matches_division_oracle(self, n):
+        # Shapes, scalars and quotients; the oracle's division takes about
+        # 10 s at n = 12.
+        assert verify.conjecture_row(n) == oracles.conjecture_row(n)
+
+    def test_rows_make_no_division(self, monkeypatch):
+        monkeypatch.setattr(Polynomial, "__divmod__", lambda a, b: pytest.fail("conjecture_row divided"))
+        assert [verify.conjecture_row(n).n for n in range(1, 13)] == list(range(1, 13))
+
 
 class TestQuartic:
     def test_root_prefix_over_gf3(self):
@@ -608,7 +620,7 @@ class TestQuartic:
         for a, b in zip(iterates, iterates[1:]):
             da = [a.coefficient(-k) for k in range(1, 41)]
             db = [b.coefficient(-k) for k in range(1, 41)]
-            depths.append(first_difference_rank(da, db) - 1)
+            depths.append(oracles.first_difference_rank(da, db) - 1)
         for before, after in zip(depths, depths[1:]):
             assert after >= before + 2
 
@@ -635,7 +647,7 @@ class TestQuartic:
         assert not out.terminated
 
     def test_lambda_prefix_of_eleven(self):
-        rep = verify.quartic_lambda_check(300, 11)
+        rep = verify.quartic_lambda_report(verify.quartic_expansion(3, 300), 11)
         assert rep.passed
         assert "12212121221" in rep.actual
 
@@ -664,7 +676,7 @@ class TestQuartic:
 
     def test_insufficient_precision_hint(self):
         with pytest.raises(PrecisionError, match="raise prec"):
-            verify.quartic_lambda_check(40, 100)
+            verify.quartic_lambda_report(verify.quartic_expansion(3, 40), 100)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError, match="prime"):

@@ -9,18 +9,17 @@ from wordcf.words import (
     aux_words,
     block,
     check_identities,
-    first_difference_rank,
     first_letters_differ,
     last_letters_differ,
     length_closed_form_ok,
     lengths,
     prefix,
     residual_suffixes,
-    tail_periodic_symbols,
     theta_series,
-    word_fraction,
     word_poly,
 )
+
+from oracles import first_difference_rank, tail_periodic_symbols
 
 symbols = st.text(alphabet="12", min_size=0, max_size=40)
 nonempty_symbols = st.text(alphabet="12", min_size=1, max_size=40)
@@ -138,11 +137,6 @@ class TestWordEncoding:
     @given(a=symbols, b=symbols)
     def test_homomorphism(self, a, b):
         assert word_poly(a + b) == word_poly(a).shift(len(b)) + word_poly(b)
-
-    def test_fraction_reduces_only_powers_of_t(self):
-        f = word_fraction("1221")
-        assert f.num == parse_poly("T^3+2*T^2+2*T+1")
-        assert f.den == parse_poly("T^4")
 
     def test_general_alphabet(self):
         assert word_poly("1221", alphabet=(1, -1)) == parse_poly("T^3-T^2-T+1")
