@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 
 from . import _kernel
 from .fields import check_same_field
@@ -262,14 +262,14 @@ def _sub_mul(x: list, q: list, y: list, p: int) -> list:
         out += [0] * (len(q) + len(y) - 1 - len(x))
         for i in compress(range(len(q)), q):
             c = q[i]
-            out[i : i + len(y)] = [o - c * v for o, v in zip(islice(out, i, None), y)]
+            out[i : i + len(y)] = [o - c * v for o, v in zip(out[i : i + len(y)], y)]
     return _strip([v % p for v in out])
 
 
 def _shift_add(high: list, m: int, low: list, p: int) -> list:
     """high T^m + low over GF(p) as a stripped residue list."""
     out = low + [0] * (m + len(high) - len(low))
-    out[m : m + len(high)] = [(x + c) % p for x, c in zip(islice(out, m, None), high)]
+    out[m : m + len(high)] = [(x + c) % p for x, c in zip(out[m : m + len(high)], high)]
     return _strip(out)
 
 

@@ -51,6 +51,15 @@ def _number(num: str, den: str | None = None):
 
 # The ``type=`` callables raise UsageError, which argparse lets through
 # unchanged (it rewrites only ValueError, TypeError and ArgumentTypeError).
+def _parse_int(text: str) -> int:
+    match = _NUMBER.fullmatch(text.strip())
+    if match is None or match[2] is not None:
+        # argparse adds the option, as it did for type=int:
+        # "argument --n: invalid int value: 'x'".
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return _number(match[1])
+
+
 def _parse_field(text: str):
     if text in ("Q", "q"):
         return QQ
@@ -103,33 +112,33 @@ def _common(p, run):
 
 
 def _word_arguments(p):
-    p.add_argument("--n", type=int, default=None, help="block index")
-    p.add_argument("--prefix", type=int, default=None, help="prefix length")
+    p.add_argument("--n", type=_parse_int, default=None, help="block index")
+    p.add_argument("--prefix", type=_parse_int, default=None, help="prefix length")
     _common(p, _word)
 
 
 def _theta_arguments(p):
-    p.add_argument("--prec", type=int, default=32)
+    p.add_argument("--prec", type=_parse_int, default=32)
     p.add_argument("--field", type=_parse_field, default="Q")
     _common(p, _theta)
 
 
 def _cf_arguments(p):
     p.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
-    p.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
+    p.add_argument("--prec", type=_parse_int, default=200, help="series precision for the default expansion")
     p.add_argument("--field", type=_parse_field, default="Q")
     _common(p, _cf)
 
 
 def _convergents_arguments(p):
     p.add_argument("--ratfunc", default=None)
-    p.add_argument("--prec", type=int, default=200)
+    p.add_argument("--prec", type=_parse_int, default=200)
     p.add_argument("--field", type=_parse_field, default="Q")
     _common(p, _convergents)
 
 
 def _measure_arguments(p):
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=_parse_int, default=6)
     p.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
     _common(p, _measure)
 
@@ -141,14 +150,14 @@ def _verify_arguments(p):
         "selection",
         choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
     )
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=_parse_int, default=None)
     _common(p, _verify)
 
 
 def _quartic_arguments(p):
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--prec", type=int, default=1000)
-    p.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
+    p.add_argument("--p", type=_parse_int, default=3)
+    p.add_argument("--prec", type=_parse_int, default=1000)
+    p.add_argument("--k", type=_parse_int, default=100, help="coefficients compared against the word")
     _common(p, _quartic)
 
 

@@ -106,8 +106,10 @@ class PrimeField:
     def __init__(self, p: int):
         if isinstance(p, int) and p >= MR_BOUND:
             raise ValueError(f"modulus must be below {MR_BOUND}, where primality is certified")
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int):
             raise ValueError(f"modulus must be prime, got {p!r}")
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {decimal_str(p)}")
         self.p = p
         self.name = f"GF({p})"
         self.characteristic = p

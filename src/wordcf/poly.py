@@ -9,7 +9,9 @@ Q, arithmetic is fraction-free: it runs on the ints and normalises each
 result once, with one gcd over the whole vector, instead of once per
 coefficient; division is pseudo-division (content bookkeeping as in von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Over GF(p), ``ints``
-holds the residues in [0, p) and ``den`` is 1.
+holds the residues in [0, p) and ``den`` is 1.  Both fields divide by one
+long-division loop (``_long_division``) and differ only in its quotient
+digit.
 
 ``coeffs`` is the field-element view: the stored tuple itself when
 ``den == 1`` (every integer polynomial, and every GF(p) one), otherwise one
@@ -26,7 +28,7 @@ whatever the interpreter's int-to-str limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import comb, gcd, lcm
 
 from . import _kernel
@@ -171,17 +173,11 @@ class Polynomial:
         if len(a) < len(b):
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
-        out.extend(islice(a, len(b), None))
+        out.extend(a[len(b) :])
         return Polynomial._over(self.field, self.field.reduce_coeffs(out), den)
 
     def __sub__(self, other):
-        a, b, den = self._aligned(other)
-        out = [x - y for x, y in zip(a, b)]
-        if len(a) >= len(b):
-            out.extend(islice(a, len(b), None))
-        else:
-            out.extend(-c for c in islice(b, len(a), None))
-        return Polynomial._over(self.field, self.field.reduce_coeffs(out), den)
+        return self + (-other)
 
     def __neg__(self):
         return Polynomial._raw(
@@ -227,7 +223,7 @@ class Polynomial:
         else:
             for i, ca in terms:
                 out[i : i + nb] = [
-                    o + ca * cb if cb else o for o, cb in zip(islice(out, i, i + nb), b)
+                    o + ca * cb if cb else o for o, cb in zip(out[i : i + nb], b)
                 ]
         return Polynomial._raw(self.field, out, da * db)
 
@@ -298,35 +294,45 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)!r})"
 
 
+def _long_division(rem: list, b, digit) -> list:
+    """Long division of the int list ``rem`` by the int vector ``b``, in
+    place: returns the quotient digits (len rem - len b + 1 of them) and
+    leaves the remainder in rem[:len b - 1].
+
+    ``digit(top)`` is the field's quotient digit for the current top entry
+    of ``rem``, zero when that entry is.  The entries of ``rem`` are not
+    reduced: each digit reads only the one entry it needs.  A dense divisor
+    updates its window with one slice; a sparse one touches only its
+    nonzero support, so the cost is O(delta * nnz(b)) int operations.
+    """
+    db = len(b) - 1
+    low = b[:db]
+    quot = [0] * (len(rem) - db)
+    dense = 2 * (db - low.count(0)) >= db
+    support = None if dense else [(i, c) for i, c in enumerate(low) if c]
+    for sh in range(len(quot) - 1, -1, -1):
+        q = digit(rem[sh + db])
+        if q:
+            quot[sh] = q
+            if dense:
+                rem[sh : sh + db] = [r - q * c for r, c in zip(rem[sh : sh + db], low)]
+            else:
+                for i, c in support:
+                    rem[i + sh] -= q * c
+    return quot
+
+
 def _divmod_gfp(a, b, p: int):
     """Long division of residue lists over GF(p): a = q b + r, deg r < deg b.
 
     ``a`` and ``b`` are ascending residue lists with b[-1] != 0 and
     len a >= len b.  Returns the lists q (len a - len b + 1 entries) and r
-    (len b - 1 entries, possibly with zeros on top).  The remainder is kept
-    unreduced while the quotient digits are found, and each digit reduces
-    only the one entry it reads, so the loop makes no call per entry.  A
-    dense divisor updates its window with one slice, a sparse one touches
-    only its nonzero support.
+    (len b - 1 entries, possibly with zeros on top).
     """
-    db = len(b) - 1
     rem = list(a)
     inv = pow(b[-1], -1, p)
-    quot = [0] * (len(rem) - db)
-    low = b[:db]
-    support = [(i, c) for i, c in enumerate(low) if c]
-    dense = 2 * len(support) >= db
-    for sh in range(len(quot) - 1, -1, -1):
-        top = rem[sh + db] % p
-        if top:
-            q = top * inv % p
-            quot[sh] = q
-            if dense:
-                rem[sh : sh + db] = [r - q * c for r, c in zip(islice(rem, sh, sh + db), low)]
-            else:
-                for i, c in support:
-                    rem[i + sh] -= q * c
-    return quot, [r % p for r in islice(rem, db)]
+    quot = _long_division(rem, b, lambda top: top * inv % p)
+    return quot, [r % p for r in rem[: len(b) - 1]]
 
 
 def _pseudo_divmod(a: Polynomial, b: Polynomial):
@@ -335,11 +341,9 @@ def _pseudo_divmod(a: Polynomial, b: Polynomial):
 
     With a = A/da and b = (c/db) P, where c is the content of b's ints and
     P is primitive with leading coefficient lc, lc^(delta+1) A = Q' P + R'
-    with exact int quotient digits.  Then q = Q' db / (da s c) and
-    r = R' / (da s), where s = lc^(delta+1), or 1 when lc = +-1 (as for the
-    monic approximant denominators and any scalar multiple of them).  Each
-    digit touches only the divisor's nonzero support, so the cost is
-    O(delta * nnz(b)) int operations.
+    with exact int quotient digits top // lc.  Then q = Q' db / (da s c)
+    and r = R' / (da s), where s = lc^(delta+1), or 1 when lc = +-1 (as for
+    the monic approximant denominators and any scalar multiple of them).
     """
     field = a.field
     c = gcd(*b.ints)
@@ -347,24 +351,9 @@ def _pseudo_divmod(a: Polynomial, b: Polynomial):
     db = len(B) - 1
     lc = B[-1]
     delta = len(a.ints) - 1 - db
-    unit = lc == 1 or lc == -1
-    s = 1 if unit else lc ** (delta + 1)
+    s = 1 if lc == 1 or lc == -1 else lc ** (delta + 1)
     rem = list(a.ints) if s == 1 else [x * s for x in a.ints]
-    quot = [0] * (delta + 1)
-    support = [(i, x) for i, x in enumerate(islice(B, db)) if x]
-    dense = 2 * len(support) >= db
-    for sh in range(delta, -1, -1):
-        top = rem[sh + db]
-        if top:
-            q = top * lc if unit else top // lc
-            quot[sh] = q
-            if dense:
-                rem[sh : sh + db] = [
-                    r - q * x for r, x in zip(islice(rem, sh, sh + db), B)
-                ]
-            else:
-                for i, x in support:
-                    rem[i + sh] -= q * x
+    quot = _long_division(rem, B, lambda top: top // lc)
     rden = a.den * s
     g = gcd(b.den, rden * c)
     quotient = Polynomial._over(field, quot, rden * c // g)

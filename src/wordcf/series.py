@@ -15,7 +15,9 @@ Propagation rules (ultrametric error analysis, x = X + eps_x with
 * invert:  known_down = -2*top_x + kd_x (same relative precision)
 
 The zero-to-declared-precision series is stored with an empty coefficient
-tuple and ``top == known_down - 1``.
+tuple and ``top == known_down - 1``.  Products of digits go through
+``_mul_trunc``: the GF(p) kernel, or over Q the fraction-free
+``Polynomial`` product.
 """
 
 from __future__ import annotations
@@ -243,24 +245,16 @@ def _mul_trunc(a, b, n: int, field):
 
     Over GF(p) the residues (which must lie in [0, p)) go through the
     Kronecker-substitution kernel (``_kernel.product``), one bigint product.
-    Over Q the schoolbook convolution is used.  Digits at or beyond
-    len a + len b - 1 are zero.
+    Over Q they are those of the fraction-free ``Polynomial`` product of
+    the first n digits of each.  Digits at or beyond len a + len b - 1 are
+    zero.
     """
     p = field.characteristic
-    if not p:
-        return _mul_trunc_schoolbook(a, b, n, field)
-    return _kernel.product(a, b, n, p)
-
-
-def _mul_trunc_schoolbook(a, b, n: int, field):
-    """First n digits of the product, by the schoolbook convolution."""
-    la, lb = len(a), len(b)
-    out = []
-    for k in range(n):
-        lo = max(0, k - lb + 1)
-        hi = min(k, la - 1)
-        out.append(sum(a[i] * b[k - i] for i in range(lo, hi + 1)))
-    return field.reduce_coeffs(out)
+    if p:
+        return _kernel.product(a, b, n, p)
+    out = list((Polynomial(field, a[:n]) * Polynomial(field, b[:n])).coeffs[:n])
+    out += [0] * (n - len(out))
+    return out
 
 
 def series_of_fraction(num: Polynomial, den: Polynomial, prec: int) -> LaurentSeries:

@@ -492,7 +492,7 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     if prec < 1:
         raise ValueError("prec must be at least 1")
     if prec > MAX_QUARTIC_PREC:
-        raise ValueError(f"precision {prec} is above the budget of {MAX_QUARTIC_PREC} digits")
+        raise ValueError(f"precision {_kernel.decimal_str(prec)} is above the budget of {MAX_QUARTIC_PREC} digits")
     # Seed T^-1 agrees with the root down to exponent -2.
     x = LaurentSeries(field, -1, [field.one, field.zero], -2)
     targets = []
@@ -560,7 +560,7 @@ def quartic_lambda_report(expansion: QuarticExpansion, count: int) -> CheckRepor
     if len(expansion.lambdas) < count and expansion.monomial:
         raise PrecisionError(
             f"certified only {len(expansion.lambdas)} quotients; "
-            f"raise prec above {prec} to certify {count}"
+            f"raise prec above {prec} to certify {_kernel.decimal_str(count)}"
         )
     word = prefix(count)
     coeffs = "".join(str(c) for c in expansion.lambdas[:count])

@@ -18,6 +18,7 @@ import functools
 from collections import namedtuple
 from math import lcm
 
+from ._kernel import decimal_str
 from .fields import QQ
 from .poly import Polynomial
 from .series import LaurentSeries
@@ -36,7 +37,7 @@ def check_block_budget(n: int) -> None:
     # len(n) >= 2^(n-1), so an index past the budget's bit length is over it
     # without summing the recurrence that far.
     if n > MAX_BLOCK_LETTERS.bit_length() or length_of(n) > MAX_BLOCK_LETTERS:
-        raise ValueError(f"block {n} is longer than the budget of {MAX_BLOCK_LETTERS} letters")
+        raise ValueError(f"block {decimal_str(n)} is longer than the budget of {MAX_BLOCK_LETTERS} letters")
 
 
 def block(n: int) -> str:
@@ -69,6 +70,8 @@ def prefix(count: int) -> str:
     """First ``count`` letters of the infinite word."""
     if count < 0:
         raise ValueError("prefix length must be nonnegative")
+    if count > MAX_BLOCK_LETTERS:
+        raise ValueError(f"prefix is longer than the budget of {MAX_BLOCK_LETTERS} letters")
     n = 0
     while length_of(n) < count:
         n += 1

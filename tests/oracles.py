@@ -42,6 +42,18 @@ def tail_periodic_symbols(head: str, period: str, count: int) -> str:
     return (head + period * (count // len(period) + 1))[:count]
 
 
+def mul_trunc_schoolbook(a, b, n: int, field):
+    """First n digits of the product of digit sequences a and b, by the
+    schoolbook convolution: the reference of ``series._mul_trunc``."""
+    la, lb = len(a), len(b)
+    out = []
+    for k in range(n):
+        lo = max(0, k - lb + 1)
+        hi = min(k, la - 1)
+        out.append(sum(a[i] * b[k - i] for i in range(lo, hi + 1)))
+    return field.reduce_coeffs(out)
+
+
 def conjecture_row(n: int) -> verify.ConjectureRow:
     """``verify.conjecture_row`` with the shapes of the first and third
     quotients the exact quotients of T^high + T^mid - 2 and T^small - 1

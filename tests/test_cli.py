@@ -206,12 +206,30 @@ def test_field_refuses_other_syntax(text):
         cli._parse_field(text)
 
 
+@pytest.mark.parametrize("text, value", [("7", 7), (" +07 ", 7), ("-0", 0), ("-12", -12)])
+def test_int_options_read_decimal_integers(text, value):
+    assert cli._parse_int(text) == value
+
+
+# int() also reads digit groups and non-ASCII digits; an option does not.
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1.5", "1/2", "1e3", "--1", ""])
+def test_int_options_refuse_other_syntax(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
+        cli._parse_int(text)
+
+
 def test_option_integers_have_a_digit_budget(monkeypatch):
     from wordcf import poly
 
     monkeypatch.setattr(poly, "MAX_INT_DIGITS", 5)
     assert cli._parse_pair("-12345,1/99999") == (-12345, Fraction(1, 99999))
-    for parse, text in ((cli._parse_pair, "1,123456"), (cli._parse_pair, "1/123456,2"), (cli._parse_field, "+123456")):
+    assert cli._parse_int("-12345") == -12345
+    for parse, text in (
+        (cli._parse_pair, "1,123456"),
+        (cli._parse_pair, "1/123456,2"),
+        (cli._parse_field, "+123456"),
+        (cli._parse_int, "-123456"),
+    ):
         with pytest.raises(cli.UsageError, match="integer above the budget of 5 digits in an option"):
             parse(text)
 
@@ -317,6 +335,8 @@ HOSTILE_ARGV = [
     # Far past the bound of certified primality: refused before any test.
     ["theta", "--field", "1" + "0" * 99999 + "1"],
     ["word", "--n", "30"],
+    # Over the letter budget: refused before the block lengths are summed.
+    ["theta", "--prec", "9" * 4000],
 ]
 
 
@@ -343,29 +363,29 @@ def full_parser():
         p.set_defaults(run=run)
 
     p_word = sub.add_parser("word", help="emit a block or a prefix of the word")
-    p_word.add_argument("--n", type=int, default=None, help="block index")
-    p_word.add_argument("--prefix", type=int, default=None, help="prefix length")
+    p_word.add_argument("--n", type=cli._parse_int, default=None, help="block index")
+    p_word.add_argument("--prefix", type=cli._parse_int, default=None, help="prefix length")
     common(p_word, cli._word)
 
     p_theta = sub.add_parser("theta", help="emit the generating series")
-    p_theta.add_argument("--prec", type=int, default=32)
+    p_theta.add_argument("--prec", type=cli._parse_int, default=32)
     p_theta.add_argument("--field", type=cli._parse_field, default="Q")
     common(p_theta, cli._theta)
 
     p_cf = sub.add_parser("cf", help="expand the series or a rational function")
     p_cf.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
-    p_cf.add_argument("--prec", type=int, default=200, help="series precision for the default expansion")
+    p_cf.add_argument("--prec", type=cli._parse_int, default=200, help="series precision for the default expansion")
     p_cf.add_argument("--field", type=cli._parse_field, default="Q")
     common(p_cf, cli._cf)
 
     p_conv = sub.add_parser("convergents", help="convergent table of an expansion")
     p_conv.add_argument("--ratfunc", default=None)
-    p_conv.add_argument("--prec", type=int, default=200)
+    p_conv.add_argument("--prec", type=cli._parse_int, default=200)
     p_conv.add_argument("--field", type=cli._parse_field, default="Q")
     common(p_conv, cli._convergents)
 
     p_measure = sub.add_parser("measure", help="irrationality-measure estimates")
-    p_measure.add_argument("--max-n", type=int, default=6)
+    p_measure.add_argument("--max-n", type=cli._parse_int, default=6)
     p_measure.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
     common(p_measure, cli._measure)
 
@@ -374,13 +394,13 @@ def full_parser():
         "selection",
         choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
     )
-    p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument("--max-n", type=cli._parse_int, default=None)
     common(p_verify, cli._verify)
 
     p_quartic = sub.add_parser("quartic", help="root and expansion of x^4+x^2-Tx+1")
-    p_quartic.add_argument("--p", type=int, default=3)
-    p_quartic.add_argument("--prec", type=int, default=1000)
-    p_quartic.add_argument("--k", type=int, default=100, help="coefficients compared against the word")
+    p_quartic.add_argument("--p", type=cli._parse_int, default=3)
+    p_quartic.add_argument("--prec", type=cli._parse_int, default=1000)
+    p_quartic.add_argument("--k", type=cli._parse_int, default=100, help="coefficients compared against the word")
     common(p_quartic, cli._quartic)
 
     p_alpha = sub.add_parser("alphabet", help="rebuild the first approximant over (a, b)")

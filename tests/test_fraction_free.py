@@ -6,9 +6,11 @@ checked after every operation, and Q results reduced mod p are checked
 against the direct GF(p) computation.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -71,15 +73,16 @@ def _ref_mul(a, b):
     return _trim(out)
 
 
-def _ref_divmod(a, b):
-    rem = [Fraction(c) for c in a]
+def _ref_divmod(a, b, field=QQ):
+    # Over Q the digits are Fractions (QQ.div); over GF(p) residues.
+    rem = list(a)
     db = len(b) - 1
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    quot = [0] * max(len(rem) - db, 0)
     for sh in range(len(quot) - 1, -1, -1):
-        q = rem[sh + db] / b[-1]
+        q = field.div(rem[sh + db], b[-1])
         quot[sh] = q
         for i, c in enumerate(b):
-            rem[i + sh] -= q * c
+            rem[i + sh] = field.reduce(rem[i + sh] - q * c)
     return _trim(quot), _trim(rem[:db])
 
 
@@ -138,6 +141,50 @@ def test_divmod_matches_fraction_reference(a, b):
     _assert_canonical(q)
     _assert_canonical(r)
     assert (q.coeffs, r.coeffs) == _ref_divmod(a.coeffs, b.coeffs)
+
+
+def _division_case(field, len_a, db, nnz):
+    """A dividend of len_a nonzero coefficients and a divisor of degree db
+    with nnz nonzero coefficients below its top.  Over Q the divisor is
+    6/35 times an int vector with odd low terms and top 4: its den is 35,
+    its int vector has content 6, and (for db > 0) its primitive part has
+    the non-unit leading coefficient 4."""
+    rng = random.Random(f"{field!r}/{len_a}/{db}/{nnz}")
+    p = field.characteristic
+    if p:
+        def coeff():
+            return rng.randrange(1, p)
+    else:
+        def coeff():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+    low = [0] * db
+    for i in rng.sample(range(db), nnz):
+        low[i] = coeff() if p else rng.choice((-1, 1)) * rng.randrange(1, 10, 2)
+    if p:
+        b = Polynomial(field, low + [coeff()])
+    else:
+        b = Polynomial(QQ, [Fraction(6 * c, 35) for c in low + [4]])
+        assert b.den == 35 and gcd(*b.ints) == (6 if db else 24)
+    return Polynomial(field, [coeff() for _ in range(len_a)]), b
+
+
+# Quotient lengths 0, 1 and 1200, each by divisors of degree 10 on either
+# side of the dense update (2 nnz >= db): 5 and 4 nonzero low terms.
+DIVISION_SHAPES = [
+    (len_a, 10, nnz) for len_a in (10, 11, 1210) for nnz in (5, 4)
+] + [(1210, 1, 1), (7, 0, 0)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(13), GF(GCD_PRIME), QQ], ids=repr)
+@pytest.mark.parametrize("len_a, db, nnz", DIVISION_SHAPES)
+def test_divmod_cases_match_fraction_reference(field, len_a, db, nnz):
+    a, b = _division_case(field, len_a, db, nnz)
+    assert b.degree == db and len(b.ints[:db]) - b.ints[:db].count(0) == nnz
+    q, r = divmod(a, b)
+    _assert_canonical(q)
+    _assert_canonical(r)
+    assert len(q.ints) == max(len_a - db, 0)
+    assert (q.coeffs, r.coeffs) == _ref_divmod(a.coeffs, b.coeffs, field)
 
 
 @given(c=poly_q, b=divisor)

@@ -246,14 +246,26 @@ def run_module(argv, **env):
         (["convergents", "--ratfunc", dense_fraction(60, 0)], 0, None),
         (["alphabet", "--pair", "1," + "3" * 700], 0, "alphabet: 1," + "3" * 700 + "\n"),
         (["theta", "--field", "3" * 700], 1, "usage error: modulus must be below 3317044064679887385961981"),
+        (["theta", "--field", "-" + "3" * 700], 1, "usage error: modulus must be prime, got -" + "3" * 700 + "\n"),
+        (["word", "--n", "3" * 700], 1, f"error: block {'3' * 700} is longer than the budget"),
+        (["measure", "--max-n", "3" * 700], 1, f"error: block {'3' * 699}6 is longer than the budget"),
+        (["verify", "lemma1", "--max-n", "3" * 700], 1, f"error: block {'3' * 699}6 is longer than the budget"),
+        (["quartic", "--prec", "3" * 700], 1, f"error: precision {'3' * 700} is above the budget"),
+        (["quartic", "--p", "-" + "3" * 700], 1, "error: modulus must be prime, got -" + "3" * 700 + "\n"),
+        (["quartic", "--prec", "30", "--k", "3" * 700], 1, f"error: certified only 12 quotients; raise prec above 30 to certify {'3' * 700}\n"),
+        (["theta", "--prec", "3" * 700], 1, "error: prefix is longer than the budget of 10000000 letters\n"),
     ],
-    ids=["cf", "convergents", "alphabet-pair", "theta-field"],
+    ids=[
+        "cf", "convergents", "alphabet-pair", "theta-field", "theta-negative-field", "word-n",
+        "measure-max-n", "verify-max-n", "quartic-prec", "quartic-p", "quartic-k", "theta-prec",
+    ],
 )
 def test_output_does_not_depend_on_the_int_limit(argv, code, start):
     # At the smallest limit, the default one and none, the job prints the
     # same bytes.  Degree 60 reaches quotient coefficients of about 9000
     # digits, over CPython's default int-to-str limit of 4300; the options
-    # take a 700-digit number, which is read and echoed exactly.
+    # take a 700-digit number, which is read exactly, and echoed exactly
+    # wherever a message names it.
     outcomes = {
         (proc.returncode, proc.stdout, proc.stderr)
         for proc in (run_module(argv, PYTHONINTMAXSTRDIGITS=limit) for limit in ("640", "4300", "0"))

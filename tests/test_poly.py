@@ -325,6 +325,18 @@ def test_sparse_power_parses_within_a_second():
     assert min(timeit.repeat(lambda: parse_poly(text), number=1, repeat=3)) < 1.0
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_long_quotient_by_a_short_divisor_is_linear(field):
+    # conjecture_row(12)'s first shape: a quotient of 57121 digits by T - 1.
+    # A window walked from index 0 for every digit took 4 s here.
+    import timeit
+
+    a, b = parse_poly("T^57121+T^23660-2", field), parse_poly("T-1", field)
+    q, r = divmod(a, b)
+    assert r.is_zero and q * b == a
+    assert min(timeit.repeat(lambda: divmod(a, b), number=1, repeat=3)) < 0.5
+
+
 @given(a=poly_q, b=poly_q)
 def test_sub_is_add_of_negation(a, b):
     assert a - b == a + (-b)

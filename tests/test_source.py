@@ -37,6 +37,19 @@ def test_no_floating_point():
     assert SOURCES and not found, found
 
 
+def test_no_islice():
+    # Inside a loop, islice(x, i, j) walks x from index 0 every time: it
+    # made each long division quadratic in its quotient length.  A slice
+    # x[i:j] costs j - i.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if (isinstance(node, ast.alias) and node.name == "islice")
+        or (isinstance(node, ast.Attribute) and node.attr == "islice")
+    ]
+    assert SOURCES and not found, found
+
+
 def test_int_to_str_limit_is_never_changed():
     # Conversions above the limit go through _kernel.decimal_str and
     # decimal_int; the interpreter's limit stays as the process set it.

@@ -581,10 +581,9 @@ class TestConjecture:
         row = verify.conjecture_row(1)
         assert tuple(cf.quotients[5:9]) == row.predicted
 
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_row_matches_division_oracle(self, n):
-        # Shapes, scalars and quotients; the oracle's division takes about
-        # 10 s at n = 12.
+        # Shapes, scalars and quotients.
         assert verify.conjecture_row(n) == oracles.conjecture_row(n)
 
     def test_rows_make_no_division(self, monkeypatch):

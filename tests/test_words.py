@@ -36,6 +36,9 @@ def test_block_budget_is_checked_before_building(monkeypatch):
     assert len(block(4)) == 28
     with pytest.raises(ValueError, match="budget"):
         prefix(29)
+    # Refused before the lengths are summed up to a 4000-digit count.
+    with pytest.raises(ValueError, match="prefix is longer than the budget of 28 letters"):
+        prefix(10**4000 - 1)
 
 
 def test_blocks_by_hand():
