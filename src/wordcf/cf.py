@@ -2,6 +2,10 @@
 functions, certified expansion of truncated series, convergents, and the
 irrationality-measure estimator.
 
+Both expansions read their quotients off one Euclidean remainder sequence,
+``poly._certified_euclid``, the routine whose last remainder is also
+``poly_gcd``.
+
 Degrees, valuations and measure terms are exact integers/rationals; there is
 no floating point and no real logarithm anywhere.
 """
@@ -10,11 +14,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
 
-from . import _kernel
-from .fields import check_same_field
-from .poly import Polynomial, _divmod_gfp
+from .poly import Polynomial, _certified_euclid
 from .series import LaurentSeries, PrecisionError
 
 
@@ -88,14 +89,9 @@ def cf_of_fraction(num: Polynomial, den: Polynomial) -> ContinuedFraction:
     quotients of the Euclidean remainder sequence of den and num mod den.
 
     Those have degree sum deg den - deg gcd, so a budget of 2 deg den lets
-    ``_certified_euclid`` return all of them.
+    ``poly._certified_euclid`` return all of them.
     """
-    check_same_field(num.field, den.field)
-    if den.is_zero:
-        raise ZeroDivisionError("zero divisor")
-    a0, r = divmod(num, den)
-    partials, _ = _certified_euclid(den, r, 2 * den.degree)
-    return ContinuedFraction((a0, *partials))
+    return ContinuedFraction(tuple(_certified_euclid(num, den, 2 * den.degree)[0]))
 
 
 class SeriesExpansion(namedtuple("SeriesExpansion", "cf emitted precision_consumed terminated")):
@@ -126,8 +122,8 @@ def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
 
     With r_{-1} = T^N and r_0 = num mod T^N, deg y_{n+1} = N - deg r_n, so
     a_{n+1} is emitted iff deg r_n >= ceil(N/2): the emitted quotients are
-    those whose degree sum stays <= floor(N/2), which ``_certified_euclid``
-    returns.
+    those whose degree sum stays <= floor(N/2), which
+    ``poly._certified_euclid`` returns.
     """
     field = alpha.field
     if alpha.known_down > 0:
@@ -145,138 +141,15 @@ def cf_of_series(alpha: LaurentSeries) -> SeriesExpansion:
     # beta = num / T^N, num carrying alpha's known digits.
     num = Polynomial(field, list(reversed(alpha.coeffs)))
     den = Polynomial.monomial(field, field.one, budget)
-    a0, r = divmod(num, den)
-    partials, terminated = _certified_euclid(den, r, budget)
-    if not partials and not terminated:
+    quotients, _, rest = _certified_euclid(num, den, budget)
+    if len(quotients) == 1 and not rest.is_zero:
         raise PrecisionError("precision exhausted")
     return SeriesExpansion(
-        cf=ContinuedFraction((a0, *partials)),
-        emitted=len(partials),
-        precision_consumed=2 * sum(q.degree for q in partials),
-        terminated=terminated,
+        cf=ContinuedFraction(tuple(quotients)),
+        emitted=len(quotients) - 1,
+        precision_consumed=2 * sum(q.degree for q in quotients[1:]),
+        terminated=rest.is_zero,
     )
-
-
-def _certified_euclid(prev: Polynomial, cur: Polynomial, budget: int):
-    """The quotients of prev/cur (deg prev > deg cur) with degree sum
-    <= budget/2, and whether the remainder after them is zero.
-
-    Over GF(p) they come from one half-gcd (``_half_gcd``), whose last
-    remainder is exact, at full size; over Q from one division at a time.
-    """
-    field = prev.field
-    p = field.characteristic
-    if p:
-        quotients, _, _, rest = _half_gcd(list(prev.ints), list(cur.ints), budget // 2, p)
-        return [Polynomial._raw(field, q) for q in quotients], not rest
-    quotients = []
-    deg_y = 0
-    while not cur.is_zero:
-        step = prev.degree - cur.degree
-        if 2 * (deg_y + step) > budget:
-            return quotients, False
-        q, r = divmod(prev, cur)
-        quotients.append(q)
-        deg_y += step
-        prev, cur = cur, r
-    return quotients, True
-
-
-# Below this degree-sum bound the half-gcd divides step by step.
-_HALF_GCD_BASE = 32
-
-_IDENTITY = (([1], []), ([], [1]))
-
-
-def _half_gcd(a: list, b: list, k: int, p: int):
-    """Half-gcd of residue lists over GF(p) (Thull & Yap 1990; von zur
-    Gathen & Gerhard, *Modern Computer Algebra*, ch. 11), without the monic
-    normalisation, so its quotients are the plain division's.
-
-    For deg a > deg b (b may be []), the Euclidean remainders r_{-1} = a,
-    r_0 = b, r_i = r_{i-2} mod r_{i-1} have quotients q_i.  Returns
-    (q_1..q_j, R, r_{j-1}, r_j) with j the largest index with
-    deg q_1 + ... + deg q_j <= k, and R = ((s0, t0), (s1, t1)) the cofactors
-    with r_{j-1} = s0 a + t0 b and r_j = s1 a + t1 b.  The remainders are
-    exact, at the full size of a and b.
-
-    Those quotients depend only on the top 2k+1 digits of a (and the
-    matching digits of b): dropping the m = deg a - 2k low digits of both
-    perturbs r_i by s_i A0 + t_i B0 of degree < m + deg t_i, which changes no
-    quotient whose degree sum stays <= k.  So a call on more digits recurses
-    on the top ones and restores its remainders as T^m times theirs plus R
-    applied to the low digits.  Otherwise it finds the quotients with
-    degree sum <= k/2 recursively, divides once, and recurses on the rest.
-    The matrix products go through the kernel, for O(M(k) log k) work plus
-    the divisions, which cost O(d k) for a quotient of degree d.
-    """
-    n = len(a) - 1
-    if not b or n - (len(b) - 1) > k:
-        return [], _IDENTITY, a, b
-    m = n - 2 * k
-    if m > 0:
-        quotients, R, c, d = _half_gcd(a[m:], b[m:], k, p)
-        (c_low,), (d_low,) = _kernel.matmul(R, [[a[:m]], [b[:m]]], p)
-        return quotients, R, _shift_add(c, m, c_low, p), _shift_add(d, m, d_low, p)
-    if k <= _HALF_GCD_BASE:
-        return _euclid_steps(a, b, k, p)
-    quotients, R, c, d = _half_gcd(a, b, k // 2, p)
-    if not d or n - (len(d) - 1) > k:
-        return quotients, R, c, d
-    q, r = _divmod_gfp(c, d, p)
-    quotients.append(q)
-    R = _step(R, q, p)
-    rest, S, c, d = _half_gcd(d, _strip(r), k - (n - (len(d) - 1)), p)
-    return quotients + rest, _kernel.matmul(S, R, p), c, d
-
-
-def _euclid_steps(a: list, b: list, k: int, p: int):
-    """``_half_gcd`` by one division per quotient."""
-    quotients = []
-    R = _IDENTITY
-    n = len(a) - 1
-    while b and n - (len(b) - 1) <= k:
-        q, r = _divmod_gfp(a, b, p)
-        quotients.append(q)
-        R = _step(R, q, p)
-        a, b = b, _strip(r)
-    return quotients, R, a, b
-
-
-def _step(R, q: list, p: int):
-    """The cofactor matrix one division further: rows r_j, r_{j-1} - q r_j.
-
-    Each level of ``_half_gcd`` works on the top 2k+1 digits, so the rows
-    (degree <= k) are no longer than the divisor that gave q: updating them
-    term by term costs no more than that division did, and for the short
-    quotients of most steps much less than a trip through the kernel.
-    """
-    (s0, t0), (s1, t1) = R
-    return R[1], (_sub_mul(s0, q, s1, p), _sub_mul(t0, q, t1, p))
-
-
-def _sub_mul(x: list, q: list, y: list, p: int) -> list:
-    """x - q y over GF(p) as a stripped residue list."""
-    out = list(x)
-    if y:
-        out += [0] * (len(q) + len(y) - 1 - len(x))
-        for i in compress(range(len(q)), q):
-            c = q[i]
-            out[i : i + len(y)] = [o - c * v for o, v in zip(out[i : i + len(y)], y)]
-    return _strip([v % p for v in out])
-
-
-def _shift_add(high: list, m: int, low: list, p: int) -> list:
-    """high T^m + low over GF(p) as a stripped residue list."""
-    out = low + [0] * (m + len(high) - len(low))
-    out[m : m + len(high)] = [(x + c) % p for x, c in zip(out[m : m + len(high)], high)]
-    return _strip(out)
-
-
-def _strip(v: list) -> list:
-    while v and not v[-1]:
-        v.pop()
-    return v
 
 
 class MeasureTerm(namedtuple("MeasureTerm", "n estimate running_max")):

@@ -13,6 +13,11 @@ holds the residues in [0, p) and ``den`` is 1.  Both fields divide by one
 long-division loop (``_long_division``) and differ only in its quotient
 digit.
 
+The Euclidean remainder sequence is one routine, ``_certified_euclid``: over
+GF(p) a half-gcd on residue lists, over Q one division per quotient.  The
+continued-fraction expansions of ``cf`` read their quotients off it, and
+``poly_gcd`` is its last nonzero remainder, made monic.
+
 ``coeffs`` is the field-element view: the stored tuple itself when
 ``den == 1`` (every integer polynomial, and every GF(p) one), otherwise one
 ``int``/``Fraction`` per coefficient, built on demand.
@@ -364,43 +369,168 @@ def _pseudo_divmod(a: Polynomial, b: Polynomial):
     return quotient, Polynomial._over(field, rem[:db], rden)
 
 
-# The prime of the coprimality test in poly_gcd: the Mersenne prime 2^61 - 1.
-GCD_PRIME = 2**61 - 1
+def _certified_euclid(num: Polynomial, den: Polynomial, budget: int):
+    """The Euclidean remainder sequence of num/den, as far as a budget allows.
+
+    Returns (quotients, last, rest): a0 = num div den, then the quotients
+    a1, a2, ... of den / (num mod den) whose degree sum stays <= budget/2,
+    and the two remainders after the last of them.  ``rest`` is zero when
+    the sequence ran out, and ``last`` is then the gcd up to a unit.
+
+    Over GF(p) the quotients after a0 come from one half-gcd
+    (``_half_gcd``), whose remainders are exact, at full size; over Q from
+    one division at a time.
+    """
+    a0, cur = divmod(num, den)
+    field = den.field
+    p = field.characteristic
+    if p:
+        quotients, _, last, rest = _half_gcd(list(den.ints), list(cur.ints), budget // 2, p)
+        quotients = [Polynomial._raw(field, q) for q in quotients]
+        return [a0, *quotients], Polynomial._raw(field, last), Polynomial._raw(field, rest)
+    quotients = [a0]
+    prev = den
+    deg_y = 0
+    while not cur.is_zero:
+        step = prev.degree - cur.degree
+        if 2 * (deg_y + step) > budget:
+            break
+        q, r = divmod(prev, cur)
+        quotients.append(q)
+        deg_y += step
+        prev, cur = cur, r
+    return quotients, prev, cur
+
+
+# Below this degree-sum bound the half-gcd divides step by step.
+_HALF_GCD_BASE = 32
+
+_IDENTITY = (([1], []), ([], [1]))
+
+
+def _half_gcd(a: list, b: list, k: int, p: int):
+    """Half-gcd of residue lists over GF(p) (Thull & Yap 1990; von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, ch. 11), without the monic
+    normalisation, so its quotients are the plain division's.
+
+    For deg a > deg b (b may be []), the Euclidean remainders r_{-1} = a,
+    r_0 = b, r_i = r_{i-2} mod r_{i-1} have quotients q_i.  Returns
+    (q_1..q_j, R, r_{j-1}, r_j) with j the largest index with
+    deg q_1 + ... + deg q_j <= k, and R = ((s0, t0), (s1, t1)) the cofactors
+    with r_{j-1} = s0 a + t0 b and r_j = s1 a + t1 b.  The remainders are
+    exact, at the full size of a and b.
+
+    Those quotients depend only on the top 2k+1 digits of a (and the
+    matching digits of b): dropping the m = deg a - 2k low digits of both
+    perturbs r_i by s_i A0 + t_i B0 of degree < m + deg t_i, which changes no
+    quotient whose degree sum stays <= k.  So a call on more digits recurses
+    on the top ones and restores its remainders as T^m times theirs plus R
+    applied to the low digits.  Otherwise it finds the quotients with
+    degree sum <= k/2 recursively, divides once, and recurses on the rest.
+    The matrix products go through the kernel, for O(M(k) log k) work plus
+    the divisions, which cost O(d k) for a quotient of degree d.
+    """
+    n = len(a) - 1
+    if not b or n - (len(b) - 1) > k:
+        return [], _IDENTITY, a, b
+    m = n - 2 * k
+    if m > 0:
+        quotients, R, c, d = _half_gcd(a[m:], b[m:], k, p)
+        (c_low,), (d_low,) = _kernel.matmul(R, [[a[:m]], [b[:m]]], p)
+        return quotients, R, _shift_add(c, m, c_low, p), _shift_add(d, m, d_low, p)
+    if k <= _HALF_GCD_BASE:
+        return _euclid_steps(a, b, k, p)
+    quotients, R, c, d = _half_gcd(a, b, k // 2, p)
+    if not d or n - (len(d) - 1) > k:
+        return quotients, R, c, d
+    q, r = _divmod_gfp(c, d, p)
+    quotients.append(q)
+    R = _step(R, q, p)
+    rest, S, c, d = _half_gcd(d, _strip(r), k - (n - (len(d) - 1)), p)
+    return quotients + rest, _kernel.matmul(S, R, p), c, d
+
+
+def _euclid_steps(a: list, b: list, k: int, p: int):
+    """``_half_gcd`` by one division per quotient."""
+    quotients = []
+    R = _IDENTITY
+    n = len(a) - 1
+    while b and n - (len(b) - 1) <= k:
+        q, r = _divmod_gfp(a, b, p)
+        quotients.append(q)
+        R = _step(R, q, p)
+        a, b = b, _strip(r)
+    return quotients, R, a, b
+
+
+def _step(R, q: list, p: int):
+    """The cofactor matrix one division further: rows r_j, r_{j-1} - q r_j.
+
+    Each level of ``_half_gcd`` works on the top 2k+1 digits, so the rows
+    (degree <= k) are no longer than the divisor that gave q: updating them
+    term by term costs no more than that division did, and for the short
+    quotients of most steps much less than a trip through the kernel.
+    """
+    (s0, t0), (s1, t1) = R
+    return R[1], (_sub_mul(s0, q, s1, p), _sub_mul(t0, q, t1, p))
+
+
+def _sub_mul(x: list, q: list, y: list, p: int) -> list:
+    """x - q y over GF(p) as a stripped residue list."""
+    out = list(x)
+    if y:
+        out += [0] * (len(q) + len(y) - 1 - len(x))
+        for i in compress(range(len(q)), q):
+            c = q[i]
+            out[i : i + len(y)] = [o - c * v for o, v in zip(out[i : i + len(y)], y)]
+    return _strip([v % p for v in out])
+
+
+def _shift_add(high: list, m: int, low: list, p: int) -> list:
+    """high T^m + low over GF(p) as a stripped residue list."""
+    out = low + [0] * (m + len(high) - len(low))
+    out[m : m + len(high)] = [(x + c) % p for x, c in zip(out[m : m + len(high)], high)]
+    return _strip(out)
+
+
+def _strip(v: list) -> list:
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+# The prime of the coprimality test in poly_gcd, the largest below 2^24: a
+# half-gcd product slot then fits 8 bytes for operands of up to about 2^15
+# terms (``_kernel._width``).
+GCD_PRIME = 16777213
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor.
+    """Monic greatest common divisor: the last nonzero remainder of the
+    sequence that ``_certified_euclid`` walks for the continued fraction of
+    a/b (deg a >= deg b), with the budget 2 deg b that lets it run out.
 
     Over Q, coprime inputs (the common case) are recognised mod the prime
     P = GCD_PRIME first.  When P divides neither leading coefficient and the
     GF(P) gcd of the reduced int vectors is 1, the Q gcd is 1: the primitive
     gcd G over Z divides both int vectors, P does not divide its leading
     coefficient, so G mod P has G's degree and divides both reductions.
-    Otherwise the Euclidean algorithm runs over Q.
+    Otherwise the remainder sequence runs over Q.
     """
     check_same_field(a.field, b.field)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd undefined")
-    if not (a.field.characteristic or a.is_zero or b.is_zero) and _coprime_mod_prime(a, b):
-        return Polynomial.one(a.field)
-    return _euclid_gcd(a, b)
-
-
-def _coprime_mod_prime(a: Polynomial, b: Polynomial) -> bool:
+    if a.degree < b.degree:
+        a, b = b, a
+    if b.is_zero:
+        return a.monic()
     p = GCD_PRIME
-    if a.ints[-1] % p == 0 or b.ints[-1] % p == 0:
-        return False
-    field = GF(p)
-    am = Polynomial._raw(field, [c % p for c in a.ints])
-    bm = Polynomial._raw(field, [c % p for c in b.ints])
-    return _euclid_gcd(am, bm).degree == 0
-
-
-def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the plain Euclidean algorithm (not both zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    if not a.field.characteristic and a.ints[-1] % p and b.ints[-1] % p:
+        field = GF(p)
+        am, bm = (Polynomial._raw(field, [c % p for c in x.ints]) for x in (a, b))
+        if poly_gcd(am, bm).degree == 0:
+            return Polynomial.one(a.field)
+    return _certified_euclid(a, b, 2 * b.degree)[1].monic()
 
 
 class RationalFunction:
@@ -408,25 +538,22 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial):
+    def __new__(cls, num: Polynomial, den: Polynomial):
         check_same_field(num.field, den.field)
         if den.is_zero:
             raise ZeroDivisionError("zero divisor")
         if num.is_zero:
-            num, den = num, Polynomial.one(num.field)
+            den = Polynomial.one(num.field)
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-        if den.lead != den.field.one:
-            inv = den.field.invert(den.lead)
-            num, den = num.scale(inv), den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return cls._from_coprime(num, den)
 
     @classmethod
     def _from_coprime(cls, num: Polynomial, den: Polynomial):
-        # Skips the gcd: caller guarantees gcd(num, den) = 1.
+        # The one build path; skips the gcd: caller guarantees
+        # gcd(num, den) = 1.
         if den.is_zero:
             raise ZeroDivisionError("zero divisor")
         if den.lead != den.field.one:

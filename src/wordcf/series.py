@@ -42,22 +42,18 @@ class LaurentSeries:
 
     __slots__ = ("field", "top", "coeffs", "known_down")
 
-    def __init__(self, field, top: int, coeffs, known_down=None):
+    def __new__(cls, field, top: int, coeffs, known_down=None):
         coeffs = [field.coerce(c) for c in coeffs]
         if known_down is None:
             known_down = top - len(coeffs) + 1
         if len(coeffs) != top - known_down + 1:
             raise ValueError("coefficient count must equal top - known_down + 1")
-        lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
-            lead += 1
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "top", top - lead)
-        object.__setattr__(self, "coeffs", tuple(coeffs[lead:]))
-        object.__setattr__(self, "known_down", known_down)
+        return cls._raw(field, top, coeffs, known_down)
 
     @classmethod
     def _raw(cls, field, top, coeffs, known_down):
+        # The one build path: coeffs already coerced; only strip the
+        # leading zeros.
         lead = 0
         while lead < len(coeffs) and not coeffs[lead]:
             lead += 1

@@ -19,6 +19,14 @@ def eval_cf(cf) -> RationalFunction:
     return RationalFunction._from_coprime(x, y)
 
 
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by the plain Euclidean algorithm (not both zero): the
+    reference of ``poly_gcd``."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
 def determinant(table, n: int) -> Polynomial:
     """x_n y_{n-1} - x_{n-1} y_n of a ConvergentTable; alternates +1, -1."""
     (x_n, y_n), (x_p, y_p) = table.rows[n], table.rows[n - 1]

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from wordcf.fields import QQ
-from wordcf.poly import Polynomial, RationalFunction, _euclid_gcd, parse_poly, poly_gcd
+from wordcf.poly import Polynomial, RationalFunction, parse_poly, poly_gcd
 from wordcf.cf import cf_of_fraction, convergents, measure_terms
 from wordcf.words import (
     length_closed_form_ok,
@@ -20,7 +20,7 @@ from wordcf.words import (
 )
 from wordcf import verify
 
-from oracles import determinant, eval_cf
+from oracles import determinant, euclid_gcd, eval_cf
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -194,4 +194,4 @@ def test_gcd_argument_cross_checked_by_euclid():
     for n in range(1, 11):
         for pair in (verify.tail_periodic_pair(n), verify.pure_periodic_pair(n)):
             assert poly_gcd(pair.r, pair.s).degree == 0
-            assert _euclid_gcd(pair.r, pair.s).degree == 0
+            assert euclid_gcd(pair.r, pair.s).degree == 0

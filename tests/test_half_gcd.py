@@ -1,19 +1,23 @@
-"""cf_of_series and cf_of_fraction over GF(p) (the half-gcd) against the
-classical step-by-step Euclid they replaced, which stays here as the oracle."""
+"""cf_of_series, cf_of_fraction and poly_gcd, which read one remainder
+sequence (over GF(p) a half-gcd), against the classical step-by-step Euclid
+they replaced, which stays here and in ``oracles.euclid_gcd`` as the oracle."""
 
 import random
+import timeit
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordcf import cf, verify
+from wordcf import cf, poly, verify
 from wordcf.cf import cf_of_fraction, cf_of_series
-from wordcf.fields import GF
-from wordcf.poly import Polynomial
+from wordcf.fields import GF, QQ
+from wordcf.poly import GCD_PRIME, Polynomial, format_poly, parse_ratfunc, poly_gcd
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.words import theta_series
+
+from oracles import euclid_gcd
 
 
 def classical_cf_of_series(alpha):
@@ -68,12 +72,12 @@ def assert_matches_oracle(alpha):
 def base_case(size):
     """Run the half-gcd with another base-case bound, so that small inputs
     also take the recursive path."""
-    saved = cf._HALF_GCD_BASE
-    cf._HALF_GCD_BASE = size
+    saved = poly._HALF_GCD_BASE
+    poly._HALF_GCD_BASE = size
     try:
         yield
     finally:
-        cf._HALF_GCD_BASE = saved
+        poly._HALF_GCD_BASE = saved
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -188,7 +192,7 @@ def test_fraction_with_long_quotients_and_common_factor(p):
     # same fraction times a common factor: the gcd changes no quotient.
     field = GF(p)
     rng = random.Random(p)
-    degrees = [2, 1, cf._HALF_GCD_BASE + 9, 3, 1, 2 * cf._HALF_GCD_BASE + 1, 1, 5]
+    degrees = [2, 1, poly._HALF_GCD_BASE + 9, 3, 1, 2 * poly._HALF_GCD_BASE + 1, 1, 5]
     quotients = [[rng.randrange(p) for _ in range(d)] + [1 + rng.randrange(p - 1)] for d in degrees]
     num, den = fold(field, quotients)
     want = assert_fraction_matches_oracle(num, den)
@@ -225,3 +229,80 @@ def test_drawn_fractions(p, num, den, common):
     if den.is_zero:
         return
     assert_fraction_matches_oracle(num * g, den * g)
+
+
+# --- poly_gcd: the last remainder of the same sequence ---
+
+GCD_FIELDS = [GF(2), GF(3), GF(13), GF(GCD_PRIME), GF(2**61 - 1), QQ]
+
+
+def _drawn(field, degree, rng):
+    """A polynomial of the given degree (-1: zero) with random coefficients:
+    residues over GF(p), small ints with a non-unit leading one over Q."""
+    if degree < 0:
+        return Polynomial.zero(field)
+    p = field.characteristic
+    if p:
+        return Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [1 + rng.randrange(p - 1)])
+    return Polynomial(field, [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-3, 2, 5])])
+
+
+def gcd_cases(field):
+    rng = random.Random(repr(field))
+    pairs = [
+        # equal degrees, a zero operand and a constant operand
+        (_drawn(field, 6, rng), _drawn(field, 6, rng)),
+        (_drawn(field, 7, rng), _drawn(field, -1, rng)),
+        (_drawn(field, -1, rng), _drawn(field, 7, rng)),
+        (_drawn(field, 7, rng), _drawn(field, 0, rng)),
+        (_drawn(field, 0, rng), _drawn(field, 7, rng)),
+    ]
+    # planted common factors of degree 0, 1 and 40
+    for degree in (0, 1, 40):
+        g = _drawn(field, degree, rng)
+        pairs.append((g * _drawn(field, 11, rng), g * _drawn(field, 8, rng)))
+    # the quotients' degree sum deg b - deg gcd (the half-gcd's k) at 31, 32,
+    # 33 and 65, around _HALF_GCD_BASE
+    for degree in (31, 32, 33, 65):
+        pairs.append((_drawn(field, degree + 1, rng), _drawn(field, degree, rng)))
+        pairs.append((_drawn(field, degree + 4, rng), _drawn(field, degree, rng)))
+    return pairs
+
+
+@pytest.mark.parametrize("size", [poly._HALF_GCD_BASE, 0, 1, 2, 5])
+@pytest.mark.parametrize("field", GCD_FIELDS, ids=repr)
+def test_gcd_matches_plain_euclid(field, size):
+    with base_case(size):
+        for a, b in gcd_cases(field):
+            want = euclid_gcd(a, b)
+            assert poly_gcd(a, b) == want == poly_gcd(b, a)
+
+
+def test_gfp_gcd_divides_once(monkeypatch):
+    # The plain loop made one Polynomial division per remainder, 124 for
+    # this pair; the half-gcd divides residue lists after the one opening
+    # division.
+    rng = random.Random(200)
+    a, b = _drawn(GF(3), 200, rng), _drawn(GF(3), 200, rng)
+    want = euclid_gcd(a, b)
+    calls = []
+    plain = Polynomial.__divmod__
+
+    def counted(x, y):
+        calls.append((x.degree, y.degree))
+        return plain(x, y)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    assert poly_gcd(a, b) == want
+    assert len(calls) <= 1
+
+
+def test_gfp_fraction_of_degree_4000_parses_fast():
+    # The gcd of the parsed fraction is a half-gcd: about 0.15-0.2 s on a
+    # shared 2-CPU VM, against 0.75-0.85 s by the plain Euclidean loop.
+    rng = random.Random(4000)
+    num, den = _drawn(GF(3), 4000, rng), _drawn(GF(3), 4000, rng)
+    text = f"({format_poly(num)})/({format_poly(den)})"
+    value = parse_ratfunc(text, GF(3))
+    assert value.num * den == value.den * num
+    assert min(timeit.repeat(lambda: parse_ratfunc(text, GF(3)), number=1, repeat=3)) < 0.5
