@@ -379,13 +379,14 @@ def _certified_euclid(num: Polynomial, den: Polynomial, budget: int):
 
     Over GF(p) the quotients after a0 come from one half-gcd
     (``_half_gcd``), whose remainders are exact, at full size; over Q from
-    one division at a time.
+    one division at a time.  No caller reads cofactors, so the half-gcd
+    builds them only below its truncations, which restore with them.
     """
     a0, cur = divmod(num, den)
     field = den.field
     p = field.characteristic
     if p:
-        quotients, _, last, rest = _half_gcd(list(den.ints), list(cur.ints), budget // 2, p)
+        quotients, _, last, rest = _half_gcd(list(den.ints), list(cur.ints), budget // 2, p, False)
         quotients = [Polynomial._raw(field, q) for q in quotients]
         return [a0, *quotients], Polynomial._raw(field, last), Polynomial._raw(field, rest)
     quotients = [a0]
@@ -408,7 +409,7 @@ _HALF_GCD_BASE = 32
 _IDENTITY = (([1], []), ([], [1]))
 
 
-def _half_gcd(a: list, b: list, k: int, p: int):
+def _half_gcd(a: list, b: list, k: int, p: int, cofactors: bool = True):
     """Half-gcd of residue lists over GF(p) (Thull & Yap 1990; von zur
     Gathen & Gerhard, *Modern Computer Algebra*, ch. 11), without the monic
     normalisation, so its quotients are the plain division's.
@@ -426,41 +427,38 @@ def _half_gcd(a: list, b: list, k: int, p: int):
     quotient whose degree sum stays <= k.  So a call on more digits recurses
     on the top ones and restores its remainders as T^m times theirs plus R
     applied to the low digits.  Otherwise it finds the quotients with
-    degree sum <= k/2 recursively, divides once, and recurses on the rest.
-    The matrix products go through the kernel, for O(M(k) log k) work plus
-    the divisions, which cost O(d k) for a quotient of degree d.
+    degree sum <= k/2 recursively, divides once, and recurses on the rest;
+    at k <= _HALF_GCD_BASE it has no first half and just divides on.  The
+    matrix products go through the kernel, for O(M(k) log k) work plus the
+    divisions, which cost O(d k) for a quotient of degree d.
+
+    Only a restore reads R.  With ``cofactors`` false a call returns None
+    for R unless it restored, and it restores only when more than k digits
+    would go: one division over fewer extra digits costs less than the
+    cofactors that a restore at its level needs.
     """
     n = len(a) - 1
     if not b or n - (len(b) - 1) > k:
         return [], _IDENTITY, a, b
     m = n - 2 * k
-    if m > 0:
+    if m > (0 if cofactors else k):
         quotients, R, c, d = _half_gcd(a[m:], b[m:], k, p)
         (c_low,), (d_low,) = _kernel.matmul(R, [[a[:m]], [b[:m]]], p)
         return quotients, R, _shift_add(c, m, c_low, p), _shift_add(d, m, d_low, p)
-    if k <= _HALF_GCD_BASE:
-        return _euclid_steps(a, b, k, p)
-    quotients, R, c, d = _half_gcd(a, b, k // 2, p)
-    if not d or n - (len(d) - 1) > k:
-        return quotients, R, c, d
-    q, r = _divmod_gfp(c, d, p)
-    quotients.append(q)
-    R = _step(R, q, p)
-    rest, S, c, d = _half_gcd(d, _strip(r), k - (n - (len(d) - 1)), p)
-    return quotients + rest, _kernel.matmul(S, R, p), c, d
-
-
-def _euclid_steps(a: list, b: list, k: int, p: int):
-    """``_half_gcd`` by one division per quotient."""
-    quotients = []
-    R = _IDENTITY
-    n = len(a) - 1
-    while b and n - (len(b) - 1) <= k:
-        q, r = _divmod_gfp(a, b, p)
+    quotients, R, c, d = [], _IDENTITY, a, b
+    if k > _HALF_GCD_BASE:
+        quotients, R, c, d = _half_gcd(a, b, k // 2, p, cofactors)
+    while d and n - (len(d) - 1) <= k:
+        q, r = _divmod_gfp(c, d, p)
         quotients.append(q)
-        R = _step(R, q, p)
-        a, b = b, _strip(r)
-    return quotients, R, a, b
+        R = _step(R, q, p) if cofactors else None
+        c, d = d, _strip(r)
+        if k > _HALF_GCD_BASE:
+            rest, S, c, d = _half_gcd(c, d, k - (n - (len(c) - 1)), p, cofactors)
+            quotients += rest
+            R = _kernel.matmul(S, R, p) if cofactors else None
+            break
+    return quotients, R, c, d
 
 
 def _step(R, q: list, p: int):

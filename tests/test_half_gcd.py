@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wordcf import cf, poly, verify
+from wordcf import _kernel, cf, poly, verify
 from wordcf.cf import cf_of_fraction, cf_of_series
 from wordcf.fields import GF, QQ
 from wordcf.poly import GCD_PRIME, Polynomial, format_poly, parse_ratfunc, poly_gcd
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.words import theta_series
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, mul_trunc_schoolbook
 
 
 def classical_cf_of_series(alpha):
@@ -306,3 +306,90 @@ def test_gfp_fraction_of_degree_4000_parses_fast():
     value = parse_ratfunc(text, GF(3))
     assert value.num * den == value.den * num
     assert min(timeit.repeat(lambda: parse_ratfunc(text, GF(3)), number=1, repeat=3)) < 0.5
+
+
+# --- cofactors: built only where a truncation restores with them ---
+
+
+def test_remainder_sequence_builds_no_cofactors(monkeypatch):
+    # None of these reads a cofactor matrix, and none is long enough for a
+    # truncation (the odd budget leaves one extra digit at the top).  A
+    # half-gcd that built cofactors at every level made 16, 19, 30 (the Q
+    # pair, through its GF(GCD_PRIME) pre-test) and 10 _step calls here,
+    # and one matmul for the series.
+    rng = random.Random(30)
+    num, den = _drawn(GF(7), 24, rng), _drawn(GF(7), 20, rng)
+    a3, b3 = _drawn(GF(3), 30, rng), _drawn(GF(3), 30, rng)
+    aq, bq = _drawn(QQ, 30, rng), _drawn(QQ, 30, rng)
+    theta = theta_series(41, GF(5))
+    want = (
+        classical_cf_of_fraction(num, den),
+        euclid_gcd(a3, b3),
+        Polynomial.one(QQ),
+        _outcome(classical_cf_of_series, theta),
+    )
+    assert euclid_gcd(aq, bq) == want[2]
+    calls = []
+    for owner, name in ((poly, "_step"), (_kernel, "matmul")):
+        plain = getattr(owner, name)
+
+        def counted(*args, plain=plain, name=name):
+            calls.append(name)
+            return plain(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    got = (
+        list(cf_of_fraction(num, den).quotients),
+        poly_gcd(a3, b3),
+        poly_gcd(aq, bq),
+        _outcome(cf_of_series, theta),
+    )
+    assert got == want
+    assert calls == []
+
+
+def _combination(s, a, t, b, p):
+    """s a + t b over GF(p) by schoolbook products, as a stripped list."""
+    field = GF(p)
+    sa = mul_trunc_schoolbook(s, a, len(s) + len(a) - 1, field)
+    tb = mul_trunc_schoolbook(t, b, len(t) + len(b) - 1, field)
+    width = max(len(sa), len(tb))
+    out = [(x + y) % p for x, y in zip(sa + [0] * (width - len(sa)), tb + [0] * (width - len(tb)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("size", [poly._HALF_GCD_BASE, 0, 1, 2, 5])
+@pytest.mark.parametrize("p", [2, 3, 13, 2**61 - 1])
+def test_returned_cofactors_give_the_remainders(p, size, monkeypatch):
+    # Every _half_gcd call that returns R, the recursive ones included,
+    # satisfies r_{j-1} = s0 a + t0 b and r_j = s1 a + t1 b.  Calls asked
+    # for cofactors at the top, with and without a truncation there, and
+    # the remainder sequences of poly_gcd and cf_of_fraction, which ask for
+    # none and get them only below their truncations.
+    plain = poly._half_gcd
+    checked = []
+
+    def half_gcd(a, b, k, p, *flag):
+        a, b = list(a), list(b)
+        quotients, R, c, d = plain(a, b, k, p, *flag)
+        if R is not None:
+            (s0, t0), (s1, t1) = R
+            assert _combination(s0, a, t0, b, p) == c
+            assert _combination(s1, a, t1, b, p) == d
+            checked.append(k)
+        return quotients, R, c, d
+
+    monkeypatch.setattr(poly, "_half_gcd", half_gcd)
+    field = GF(p)
+    rng = random.Random(p)
+    with base_case(size):
+        for k in (31, 32, 33, 65):
+            for da, db in ((k + 1, k), (2 * k + 7, 2 * k + 3)):
+                a, b = _drawn(field, da, rng), _drawn(field, db, rng)
+                quotients = poly._half_gcd(list(a.ints), list(b.ints), k, p)[0]
+                assert sum(len(q) - 1 for q in quotients) <= k
+                assert poly_gcd(a, b) == euclid_gcd(a, b)
+                assert list(cf_of_fraction(a, b).quotients) == classical_cf_of_fraction(a, b)
+    assert len(checked) >= 8

@@ -90,3 +90,48 @@ def test_no_start_up_heavy_imports():
     banned = {"dataclasses", "inspect", "typing"}
     found = [f"{path.name}:{line}:{name}" for path, line, name in _imports() if name in banned]
     assert SOURCES and not found, found
+
+
+def _defined(statement):
+    """The names a top-level statement defines as a function, class or
+    constant."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def _referenced(node):
+    """Every name that node reads, imports or looks up as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_no_dead_definitions():
+    # A top-level function, class or constant that nothing else in src/
+    # reads and that is not public API is dead code: a helper left behind
+    # when its caller went.  Reads inside a definition's own statement (a
+    # recursive call) do not keep it alive.
+    statements = [
+        (path, node) for path in SOURCES for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [set(_referenced(node)) for _, node in statements]
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for i, (path, node) in enumerate(statements)
+        for name in _defined(node)
+        if not name.startswith("__")
+        and name not in wordcf._EXPORTS
+        and not any(name in names for j, names in enumerate(reads) if j != i)
+    ]
+    assert SOURCES and not found, found
