@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(("GF", "QQ", "PrimeField", "RationalField"), "fields"),
+    **dict.fromkeys(("GF", "PrecisionError", "QQ", "PrimeField", "RationalField"), "fields"),
     **dict.fromkeys(
         (
             "ParseError",
@@ -31,7 +31,7 @@ _EXPORTS = {
         ),
         "poly",
     ),
-    **dict.fromkeys(("LaurentSeries", "PrecisionError", "series_of_fraction"), "series"),
+    **dict.fromkeys(("LaurentSeries", "series_of_fraction"), "series"),
     **dict.fromkeys(
         (
             "AuxWords",

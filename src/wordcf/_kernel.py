@@ -18,7 +18,8 @@ machine's byte order (``sys.byteorder``) and are swapped on a big-endian
 machine.
 
 The module also holds the exact decimal conversions of ints of any size,
-``decimal_str`` and ``decimal_int``, which the text formats go through.
+``decimal_str`` and ``decimal_int``, which the text formats go through, and
+their digit budget ``MAX_INT_DIGITS``.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def signed_degree(value: int) -> int:
 # Arithmetic*, section 1.7: one split costs a shift or a slice, and the
 # halves are joined by one sub-quadratic product (libmpdec's for int to
 # str, CPython's Karatsuba for str to int).
+
+
+# Most decimal digits of one integer read (an option or an expression) or
+# written out: a conversion either way takes about a second.
+MAX_INT_DIGITS = 10**6
 
 
 def digits_bound(bits: int) -> int:

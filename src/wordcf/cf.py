@@ -15,8 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
+from .fields import PrecisionError
 from .poly import Polynomial, _certified_euclid
-from .series import LaurentSeries, PrecisionError
 
 
 class ContinuedFraction(namedtuple("ContinuedFraction", "quotients")):

@@ -15,10 +15,8 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from ._kernel import decimal_int, digits_bound
-from .fields import GF, QQ
-from .poly import ParseError
-from .series import PrecisionError
+from . import _kernel
+from .fields import GF, QQ, PrecisionError
 
 # Each handler imports the modules its subcommand uses, when it runs: a job
 # pays start-up only for what it computes, and a function rebound in its
@@ -40,13 +38,11 @@ _NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _number(num: str, den: str | None = None):
     """num, or num/den as a Fraction unless integral, read exactly whatever
-    the int-to-str limit; each has at most poly.MAX_INT_DIGITS digits."""
-    from .poly import MAX_INT_DIGITS
-
-    if max(len(num.lstrip("+-")), len(den or "")) > MAX_INT_DIGITS:
-        raise UsageError(f"integer above the budget of {MAX_INT_DIGITS} digits in an option")
-    value = decimal_int(num.lstrip("+"))
-    return value if den is None else QQ.coerce(Fraction(value, decimal_int(den)))
+    the int-to-str limit; each has at most _kernel.MAX_INT_DIGITS digits."""
+    if max(len(num.lstrip("+-")), len(den or "")) > _kernel.MAX_INT_DIGITS:
+        raise UsageError(f"integer above the budget of {_kernel.MAX_INT_DIGITS} digits in an option")
+    value = _kernel.decimal_int(num.lstrip("+"))
+    return value if den is None else QQ.coerce(Fraction(value, _kernel.decimal_int(den)))
 
 
 # The ``type=`` callables raise UsageError, which argparse lets through
@@ -194,16 +190,14 @@ def _write(args, pieces, bits: int = 0) -> None:
     is opened only when the first batch is ready.
 
     ``bits`` bounds the bit length of every int the pieces format.  When
-    that allows more than poly.MAX_INT_DIGITS decimal digits, the job fails
+    that allows more than _kernel.MAX_INT_DIGITS decimal digits, the job fails
     with a ValueError before anything is formatted or written: stdout stays
     empty, and the file is neither created nor touched.  Every int is
     formatted exactly at any size (``_kernel.decimal_str``), so no output
     depends on the interpreter's int-to-str limit.
     """
-    from .poly import MAX_INT_DIGITS
-
-    if digits_bound(bits) > MAX_INT_DIGITS:
-        raise ValueError(f"output integer of {bits} bits is above the budget of {MAX_INT_DIGITS} digits")
+    if _kernel.digits_bound(bits) > _kernel.MAX_INT_DIGITS:
+        raise ValueError(f"output integer of {bits} bits is above the budget of {_kernel.MAX_INT_DIGITS} digits")
     out = None
     try:
         for batch in _batches(pieces):
@@ -372,12 +366,10 @@ def _convergents(args) -> int:
 def _measure(args) -> int:
     from . import verify
     from .cf import measure_terms
-    from .words import check_block_budget
 
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    # theta_degrees(N) reads the tail pair N + 1: aux_words(N + 2), u(N + 3).
-    check_block_budget(args.max_n + 3)
+    verify.check_depth_budget(args.max_n)
     degrees = verify.theta_degrees(args.max_n)
     terms = measure_terms(degrees)
     if args.csv:
@@ -505,7 +497,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PrecisionError, ParseError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (PrecisionError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,7 +49,6 @@ def is_prime(n: int) -> bool:
 class RationalField:
     """The field Q.  Elements are ``int`` or ``Fraction``, always exact."""
 
-    name = "Q"
     characteristic = 0
     zero = 0
     one = 1
@@ -111,7 +110,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {decimal_str(p)}")
         self.p = p
-        self.name = f"GF({p})"
         self.characteristic = p
         self.zero = 0
         self.one = 1 % p
@@ -159,6 +157,11 @@ QQ = RationalField()
 def GF(p: int) -> PrimeField:
     """Cached constructor for GF(p); primality is checked once."""
     return PrimeField(p)
+
+
+class PrecisionError(ArithmeticError):
+    """A result would depend on coefficients below the known precision.
+    Defined here, in a module every command loads; ``series`` re-exports it."""
 
 
 def check_same_field(a, b):

@@ -26,8 +26,8 @@ The text format is a sum of ``c*T^k`` terms with rationals as ``p/q``, e.g.
 ``-125/48*T^1 + 25/24*T^0``, and ``parse_ratfunc`` reads that format back
 bit-exactly (plus ordinary expressions like ``(T^3+2*T^2+T-1)/(T^4-T^2)``).
 Integers are written and read by ``_kernel.decimal_str``/``decimal_int``, so
-the round trip holds at any coefficient size up to MAX_INT_DIGITS digits,
-whatever the interpreter's int-to-str limit.
+the round trip holds at any coefficient size up to ``_kernel.MAX_INT_DIGITS``
+digits, whatever the interpreter's int-to-str limit.
 """
 
 from __future__ import annotations
@@ -795,9 +795,9 @@ class _Parser:
 
 
 def _int_token(text: str) -> int:
-    """The value of an int token, at most MAX_INT_DIGITS digits long."""
-    if len(text) > MAX_INT_DIGITS:
-        raise ValueError(f"integer above the budget of {MAX_INT_DIGITS} digits in expression")
+    """The value of an int token, at most _kernel.MAX_INT_DIGITS digits long."""
+    if len(text) > _kernel.MAX_INT_DIGITS:
+        raise ValueError(f"integer above the budget of {_kernel.MAX_INT_DIGITS} digits in expression")
     return _kernel.decimal_int(text)
 
 
@@ -829,10 +829,6 @@ MAX_POWER_DEGREE = 10**6
 # takes five frames of the recursive descent, so this stays well inside
 # Python's default recursion limit whatever the caller's depth.
 MAX_NESTING = 100
-
-# Most decimal digits of one integer, read from an expression or written
-# out (cli._write): a conversion either way takes about a second.
-MAX_INT_DIGITS = 10**6
 
 # Highest estimated cost of expanding a power, in 64-bit word products:
 # about a second of schoolbook squaring on one core.

@@ -25,16 +25,12 @@ from __future__ import annotations
 from operator import add
 
 from . import _kernel
-from .fields import check_same_field
+from .fields import PrecisionError, check_same_field
 from .poly import Polynomial
 
 
 # Coefficients per piece of a series' text.
 _TEXT_CHUNK = 4096
-
-
-class PrecisionError(ArithmeticError):
-    """A result would depend on coefficients below the known precision."""
 
 
 class LaurentSeries:

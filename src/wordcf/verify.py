@@ -16,16 +16,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import _kernel
-from .fields import GF, QQ
-from .poly import Polynomial, format_poly, poly_gcd
-from .series import LaurentSeries, PrecisionError
-from .cf import (
-    ContinuedFraction,
-    cf_of_fraction,
-    cf_of_series,
-    measure_terms,
-)
+from .fields import GF, QQ, PrecisionError
 from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
+
+# The functions that build polynomials, series or expansions import those
+# modules when called: lemmas 1 and 2 run on packed integers alone.
 
 
 class CheckReport(namedtuple("CheckReport", "check n expected actual passed")):
@@ -88,6 +83,8 @@ def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
     For the default alphabet, num(1) != 0 is asserted (it can genuinely vanish
     for other alphabets, which is the point of the alphabet variant).
     """
+    from .poly import Polynomial
+
     high, low = _tail_den_exponents(n)
     g_now = aux_words(n).g
     g_next = aux_words(n + 1).g
@@ -102,6 +99,8 @@ def tail_periodic_pair(n: int, alphabet=(1, 2)) -> ApproximantPair:
 def pure_periodic_pair(n: int) -> ApproximantPair:
     """Approximant from the purely periodic word (u')^infinity:
     num = encoding of u', den = T^len(u') - 1."""
+    from .poly import Polynomial
+
     r = word_poly(aux_words(n).up)
     s = Polynomial.monomial(QQ, QQ.one, _pure_den_degree(n)) - Polynomial.one(QQ)
     if r.coefficient(0) == 0 or r.evaluate(1) == 0:
@@ -268,6 +267,8 @@ def check_lemma3(n: int) -> CheckReport:
     coprimality follows from num(1) != 0, which the packed pairs guard.  (A
     literal Euclidean gcd is cross-checked in tests for small n.)
     """
+    from .poly import Polynomial, format_poly
+
     delta, sign, delta_ok, rec = _ladder(n)
     delta_poly = Polynomial(QQ, _kernel.signed_digits(delta))
     expected_poly = Polynomial(QQ, [-sign, sign])
@@ -286,6 +287,8 @@ def theta_expansion(block_count: int) -> ContinuedFraction:
     """Continued fraction of the block_count-th tail-periodic approximant;
     its quotients are an exact prefix of the expansion of the generating
     series."""
+    from .cf import cf_of_fraction
+
     pair = tail_periodic_pair(block_count)
     return cf_of_fraction(pair.r, pair.s)
 
@@ -328,6 +331,8 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     place each pair two indices after the last (positive degrees order
     them); d_1 + ... + d_4 = D_1 places the first at 4.  A row matches only
     when every step up to it holds."""
+    from .cf import cf_of_series
+
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     pairs = _packed_pairs()
@@ -375,6 +380,8 @@ def check_corollary(max_n: int) -> list[CheckReport]:
     """Measure bookkeeping: sum(d_1..d_4n) = 2 + d_{4n+1}, and the estimator
     term at index 4n equals 2 + d_{4n+1}/(2 + d_{4n+1}), strictly increasing.
     Exact arithmetic on ``theta_degrees``, whose premises theorem3 checks."""
+    from .cf import measure_terms
+
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     d = theta_degrees(max_n)
@@ -407,6 +414,8 @@ class ConjectureRow(namedtuple("ConjectureRow", "n r_n lambdas predicted")):
 
 
 def conjecture_row(n: int) -> ConjectureRow:
+    from .poly import Polynomial
+
     ell = lengths(n + 1)
     r, r_next = (Fraction(4 * (2 * ell[k] - ell[k - 1] + 1), 25) for k in (n, n + 1))
     sign = 1 if n % 2 == 1 else -1  # (-1)^(n+1)
@@ -439,6 +448,8 @@ def check_conjecture(max_n: int) -> ConjectureOutcome:
     disagreement with matching shape is recorded as a finding, not a failure,
     because the claim is conjectural.
     """
+    from .poly import format_poly
+
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     cf = theta_expansion(max_n + 1)
@@ -463,6 +474,9 @@ def check_conjecture(max_n: int) -> ConjectureOutcome:
 
 def quartic_residual(x: LaurentSeries) -> LaurentSeries:
     """x^4 + x^2 - T x + 1 under the series precision rules."""
+    from .poly import Polynomial
+    from .series import LaurentSeries
+
     field = x.field
     kd = x.known_down
     x2 = x * x
@@ -488,6 +502,9 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     ``series._mul_trunc``), so precision 10^5 takes a few seconds.  The
     residual is re-checked before returning.
     """
+    from .poly import Polynomial
+    from .series import LaurentSeries
+
     field = GF(p)
     if prec < 1:
         raise ValueError("prec must be at least 1")
@@ -530,6 +547,8 @@ class QuarticExpansion(namedtuple("QuarticExpansion", "root cf lambdas exponents
 
 
 def quartic_expansion(p: int, prec: int) -> QuarticExpansion:
+    from .cf import cf_of_series
+
     root = quartic_root(p, prec)
     expansion = cf_of_series(root)
     lambdas = []
@@ -583,6 +602,8 @@ class AlphabetVariant(namedtuple("AlphabetVariant", "alphabet r s gcd coprime re
 def alphabet_variant(a, b) -> AlphabetVariant:
     """Report gcd(num, den) of the first tail-periodic approximant over the
     alphabet (a, b); coprimality holds for (1, 2) and fails for (1, -1)."""
+    from .poly import format_poly, poly_gcd
+
     a, b = QQ.coerce(a), QQ.coerce(b)
     pair = tail_periodic_pair(1, alphabet=(a, b))
     g = poly_gcd(pair.r, pair.s)
@@ -622,6 +643,12 @@ SUITE = {
 SUITE_ORDER = tuple(SUITE)
 
 
+def check_depth_budget(max_n: int) -> None:
+    """A check or degree table to depth N reaches aux_words(N + 2), which
+    builds u(N + 3): raise ValueError when that block is over the budget."""
+    check_block_budget(max_n + 3)
+
+
 def run_suite(selection: str, max_n: int | None = None):
     """Run one named check family (or 'all') over n = 1..max_n.
 
@@ -636,8 +663,7 @@ def run_suite(selection: str, max_n: int | None = None):
             raise ValueError(f"unknown check {name!r}")
         default_max_n, runner = SUITE[name]
         bound = default_max_n if max_n is None else max_n
-        # A check to depth N reaches aux_words(N + 2), which builds u(N + 3).
-        check_block_budget(bound + 3)
+        check_depth_budget(bound)
         more_reports, more_findings = runner(bound)
         reports.extend(more_reports)
         findings.extend(more_findings)

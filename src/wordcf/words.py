@@ -20,8 +20,6 @@ from math import lcm
 
 from ._kernel import decimal_str
 from .fields import QQ
-from .poly import Polynomial
-from .series import LaurentSeries
 
 # Longest block the ladder builds, about 20 times the largest the checks
 # use; a longer request fails fast instead of exhausting memory.
@@ -177,6 +175,8 @@ def word_poly(w: str, field=QQ, alphabet=(1, 2)) -> Polynomial:
     """Encode a word as the polynomial with its letters as coefficients,
     first letter carrying the highest power of T; the alphabet (a, b) gives
     the values of the symbols "1" and "2"."""
+    from .poly import Polynomial
+
     a, b = alphabet
     if a == b:
         raise ValueError("alphabet letters must be distinct")
@@ -197,6 +197,8 @@ def word_poly(w: str, field=QQ, alphabet=(1, 2)) -> Polynomial:
 @functools.lru_cache(maxsize=None)
 def theta_series(prec: int, field=QQ) -> LaurentSeries:
     """Generating series of the infinite word: letter k at exponent -k."""
+    from .series import LaurentSeries
+
     if prec < 1:
         raise ValueError("prec must be at least 1")
     # One C-level pass: the letters become the byte digits of their field

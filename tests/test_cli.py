@@ -219,9 +219,9 @@ def test_int_options_refuse_other_syntax(text):
 
 
 def test_option_integers_have_a_digit_budget(monkeypatch):
-    from wordcf import poly
+    from wordcf import _kernel
 
-    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 5)
+    monkeypatch.setattr(_kernel, "MAX_INT_DIGITS", 5)
     assert cli._parse_pair("-12345,1/99999") == (-12345, Fraction(1, 99999))
     assert cli._parse_int("-12345") == -12345
     for parse, text in (

@@ -54,14 +54,16 @@ RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["cf", "--ratfunc", RATFUNC], {"wordcf.verify", "wordcf.words"}),
-        (["convergents", "--ratfunc", RATFUNC], {"wordcf.verify", "wordcf.words"}),
+        (["cf", "--ratfunc", RATFUNC], {"wordcf.series", "wordcf.verify", "wordcf.words"}),
+        (["convergents", "--ratfunc", RATFUNC], {"wordcf.series", "wordcf.verify", "wordcf.words"}),
         (["cf", "--prec", "20"], {"wordcf.verify"}),
         (["convergents", "--prec", "20", "--field", "3"], {"wordcf.verify"}),
-        (["word", "--n", "3"], {"wordcf.verify", "wordcf.cf"}),
+        (["word", "--n", "3"], {"wordcf.verify", "wordcf.cf", "wordcf.poly", "wordcf.series"}),
         (["theta", "--prec", "5"], {"wordcf.verify", "wordcf.cf"}),
         (["measure", "--max-n", "3"], set()),
-        (["verify", "lemma1", "--max-n", "2"], set()),
+        # The approximation lemmas run on packed integers alone.
+        (["verify", "lemma1", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
+        (["verify", "lemma2", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
         (["quartic", "--prec", "40", "--k", "5"], set()),
         (["alphabet", "--pair", "1,-1"], set()),
         (["verify", "no-such-check"], {"wordcf.verify"}),
@@ -83,6 +85,8 @@ def test_every_export_is_its_submodule_object():
     for name in wordcf.__all__:
         module = importlib.import_module(f"wordcf.{wordcf._EXPORTS[name]}")
         assert getattr(wordcf, name) is getattr(module, name), name
+    # Defined in fields, which every command loads; series re-exports it.
+    assert wordcf.PrecisionError is importlib.import_module("wordcf.series").PrecisionError
 
 
 def test_export_follows_a_rebound_submodule_name(monkeypatch):

@@ -285,9 +285,9 @@ def test_budget_failure_writes_nothing(command, monkeypatch, capsys, tmp_path):
     # Over the output-digit budget the job fails before the first byte:
     # stdout stays empty, and an --output file is neither written nor
     # created.
-    from wordcf import poly
+    from wordcf import _kernel
 
-    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 2000)
+    monkeypatch.setattr(_kernel, "MAX_INT_DIGITS", 2000)
     argv = [command, "--ratfunc", dense_fraction(60, 0)]
 
     def fails_with_one_line(argv):

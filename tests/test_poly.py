@@ -145,10 +145,10 @@ def test_text_format_round_trip_with_huge_coefficients(limit, int_max_str_digits
 
 
 def test_int_token_over_digit_budget_fails_before_conversion(monkeypatch):
-    from wordcf import poly
+    from wordcf import _kernel
 
     assert parse_poly("1" * 5000 + "*T^2") == Polynomial.monomial(QQ, (10**5000 - 1) // 9, 2)
-    monkeypatch.setattr(poly, "MAX_INT_DIGITS", 50)
+    monkeypatch.setattr(_kernel, "MAX_INT_DIGITS", 50)
     assert parse_poly("9" * 50 + "*T^2") == Polynomial.monomial(QQ, 10**50 - 1, 2)
     for text in ("1" * 51, "1" * 51 + "*T^3", "2/" + "3" * 51 + "*T", "T^" + "0" * 51, "(" + "1" * 51 + ")*T"):
         with pytest.raises(ValueError, match="integer above the budget of 50 digits"):

@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
 import pathlib
+import re
+import shlex
+import subprocess
 import sys
 
 import wordcf
@@ -135,3 +140,111 @@ def test_no_dead_definitions():
         and not any(name in names for j, names in enumerate(reads) if j != i)
     ]
     assert SOURCES and not found, found
+
+
+# Every definition in src/ is run by a command or is library API.  The child
+# runs every job of the benchmark pools, the README's CLI examples and a few
+# error paths through cli.main, all in one process under sys.setprofile, and
+# prints the (file, first line) of every code object it entered.  It is a
+# child so that the caches those jobs fill stay out of the other tests.
+_REACH_CHILD = """
+import contextlib, json, os, sys
+sys.path[:0] = sys.argv[1:3]
+from workloads import WORKLOADS
+from wordcf import cli
+argvs = [list(job.argv) for w in WORKLOADS.values() for job in w.pool()] + json.loads(sys.argv[3])
+reached = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add(frame.f_code)
+
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    sys.setprofile(profile)
+    for argv in argvs:
+        cli.main(argv)
+    sys.setprofile(None)
+print(json.dumps(sorted({(code.co_filename, code.co_firstlineno) for code in reached})))
+"""
+
+# Definitions that no command reaches and no README table row names: the
+# namedtuple ``_make`` guards, which ``_replace`` calls; the coefficient
+# readers of polynomials and series and ``Polynomial.shift``, which library
+# code and the tests call; and two helpers of library-only word functions
+# that the README names (``length_closed_form_ok``, ``check_identities``).
+_UNREACHED_LIBRARY = {
+    "cf.ContinuedFraction._make",
+    "verify.CheckReport._make",
+    "poly.Polynomial.coefficient",
+    "poly.Polynomial.shift",
+    "series.LaurentSeries.coefficient",
+    "words._sqrt2_mul",
+    "words.check_identities.record",
+}
+
+
+def _readme():
+    return (pathlib.Path(wordcf.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_examples():
+    """The argv of every ``wordcf`` line of the README's sh blocks; an
+    optional ``[...]`` part gives one argv without it and one with it."""
+    blocks = re.findall(r"```sh\n(.*?)```", _readme(), flags=re.S)
+    # One example elides its fraction; any fraction will do.
+    lines = [line for block in blocks for line in block.replace('"..."', '"T/(T^2-1)"').splitlines()]
+    argvs = []
+    for line in lines:
+        if line.startswith("wordcf "):
+            for variant in dict.fromkeys((re.sub(r"\[(.*?)\]", "", line), re.sub(r"\[(.*?)\]", r"\1", line))):
+                argvs.append(shlex.split(variant, comments=True)[1:])
+    return argvs
+
+
+def _definitions():
+    """(module.qualname, name, file, first line) of every def in src/."""
+
+    def walk(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    yield qualname, child.name, str(path), first
+                yield from walk(child, qualname, path)
+            else:
+                yield from walk(child, prefix, path)
+
+    for path in SOURCES:
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, path)
+
+
+def test_every_definition_is_reached_or_library_api(tmp_path):
+    root = pathlib.Path(wordcf.__file__).parents[2]
+    edge_cases = [
+        ["verify", "no-such-check"],
+        # Above the int-to-str limit of 4300 digits set below.
+        ["alphabet", "--pair", "1," + "3" * 4301],
+        ["cf", "--ratfunc", "-(T^2+1)*(T-2)^-3 - 1/(T+3) + T"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH_CHILD, str(root / "src"), str(root / "perfbench"),
+         json.dumps(_readme_examples() + edge_cases)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="4300"),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reached = {tuple(entry) for entry in json.loads(proc.stdout)}
+    table = "\n".join(line for line in _readme().splitlines() if line.startswith("| `wordcf."))
+    named = {word for span in re.findall(r"`([^`]+)`", table) for word in re.findall(r"\w+", span)}
+    unreached = [
+        qualname
+        for qualname, name, path, first in _definitions()
+        if (path, first) not in reached
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in named
+    ]
+    assert sorted(unreached) == sorted(_UNREACHED_LIBRARY)
