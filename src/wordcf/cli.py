@@ -6,6 +6,7 @@ All numeric output is exact (rationals as p/q strings); identical invocations
 produce byte-identical output.  Exit codes: 0 all requested checks pass,
 2 any check failure, 1 usage or precision error.
 """
+# _verdict gives the exit codes 0 and 2; the docstring is the --help text.
 
 from __future__ import annotations
 
@@ -85,9 +86,10 @@ def _parse_pair(text: str) -> tuple:
 
 
 class _Command(_Parser):
-    """A subcommand's parser.  Its arguments are added when it first parses,
-    so a job builds only the subcommand it runs; the names and help strings
-    that the top-level usage and help list are registered for all of them.
+    """A subcommand's parser.  Its arguments, from its row of _COMMANDS, are
+    added when it first parses, so a job builds only the subcommand it runs;
+    the names and help strings that the top-level usage and help list are
+    registered for all of them.
     """
 
     def __init__(self, *, arguments, **kwargs):
@@ -96,86 +98,17 @@ class _Command(_Parser):
 
     def parse_known_args(self, args=None, namespace=None):
         if self._arguments is not None:
-            add, self._arguments = self._arguments, None
-            add(self)
+            for flag, spec in chain(self._arguments.items(), _SHARED.items()):
+                self.add_argument(flag, **spec)
+            self._arguments = None
         return super().parse_known_args(args, namespace)
-
-
-def _common(p, run):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None, help="write output to this path")
-    p.set_defaults(run=run)
-
-
-def _word_arguments(p):
-    p.add_argument("--n", type=_parse_int, default=None, help="block index")
-    p.add_argument("--prefix", type=_parse_int, default=None, help="prefix length")
-    _common(p, _word)
-
-
-def _theta_arguments(p):
-    p.add_argument("--prec", type=_parse_int, default=32)
-    p.add_argument("--field", type=_parse_field, default="Q")
-    _common(p, _theta)
-
-
-def _cf_arguments(p):
-    p.add_argument("--ratfunc", default=None, help="exact expansion of this fraction")
-    p.add_argument("--prec", type=_parse_int, default=200, help="series precision for the default expansion")
-    p.add_argument("--field", type=_parse_field, default="Q")
-    _common(p, _cf)
-
-
-def _convergents_arguments(p):
-    p.add_argument("--ratfunc", default=None)
-    p.add_argument("--prec", type=_parse_int, default=200)
-    p.add_argument("--field", type=_parse_field, default="Q")
-    _common(p, _convergents)
-
-
-def _measure_arguments(p):
-    p.add_argument("--max-n", type=_parse_int, default=6)
-    p.add_argument("--csv", default=None, help="also write (n, d_n, nu_n) rows here")
-    _common(p, _measure)
-
-
-def _verify_arguments(p):
-    # verify.SUITE_ORDER plus "all", spelled out so that parsing does not
-    # import the suite; a test keeps the two in step.
-    p.add_argument(
-        "selection",
-        choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all"),
-    )
-    p.add_argument("--max-n", type=_parse_int, default=None)
-    _common(p, _verify)
-
-
-def _quartic_arguments(p):
-    p.add_argument("--p", type=_parse_int, default=3)
-    p.add_argument("--prec", type=_parse_int, default=1000)
-    p.add_argument("--k", type=_parse_int, default=100, help="coefficients compared against the word")
-    _common(p, _quartic)
-
-
-def _alphabet_arguments(p):
-    p.add_argument("--pair", type=_parse_pair, default="1,-1")
-    _common(p, _alphabet)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wordcf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    for name, help, arguments in (
-        ("word", "emit a block or a prefix of the word", _word_arguments),
-        ("theta", "emit the generating series", _theta_arguments),
-        ("cf", "expand the series or a rational function", _cf_arguments),
-        ("convergents", "convergent table of an expansion", _convergents_arguments),
-        ("measure", "irrationality-measure estimates", _measure_arguments),
-        ("verify", "run the verification suite", _verify_arguments),
-        ("quartic", "root and expansion of x^4+x^2-Tx+1", _quartic_arguments),
-        ("alphabet", "rebuild the first approximant over (a, b)", _alphabet_arguments),
-    ):
-        sub.add_parser(name, help=help, arguments=arguments)
+    for name, run, help, arguments in _COMMANDS:
+        sub.add_parser(name, help=help, arguments=arguments).set_defaults(run=run)
     return parser
 
 
@@ -398,7 +331,15 @@ def _verify(args) -> int:
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     reports, findings = verify.run_suite(args.selection, args.max_n)
-    return _emit_reports(args, reports, findings)
+    summary, code = _verdict(reports)
+    if args.format == "json":
+        _write(args, chain(_json([r.to_dict() for r in reports]), (summary, "\n")))
+        for finding in findings:
+            print(f"FINDING: {finding}", file=sys.stderr)
+    else:
+        lines = [*_report_lines(reports), *(f"FINDING: {finding}" for finding in findings), summary]
+        _write(args, ("\n".join(lines), "\n"))
+    return code
 
 
 def _quartic(args) -> int:
@@ -407,10 +348,13 @@ def _quartic(args) -> int:
 
     if args.prec < 1:
         raise UsageError("--prec must be at least 1")
+    if args.p == 3 and args.k < 0:
+        raise UsageError("--k must be at least 0")
     expansion = verify.quartic_expansion(args.p, args.prec)
     reports = []
     if args.p == 3:
         reports.append(verify.quartic_lambda_report(expansion, args.k))
+    summary, code = _verdict(reports)
     if args.format == "json":
         payload = {
             "p": args.p,
@@ -431,11 +375,9 @@ def _quartic(args) -> int:
             "lambda: " + "".join(str(c) for c in expansion.lambdas),
             "u: " + ",".join(str(u) for u in expansion.exponents),
         ]
-        lines += _report_lines(reports)
-        k = sum(r.passed for r in reports)
-        lines.append(f"PASS {k}/{len(reports)}")
+        lines += [*_report_lines(reports), summary]
         _write(args, ("\n".join(lines), "\n"))
-    return 0 if all(r.passed for r in reports) else 2
+    return code
 
 
 def _alphabet(args) -> int:
@@ -443,6 +385,7 @@ def _alphabet(args) -> int:
     from .poly import format_poly
 
     variant = verify.alphabet_variant(*args.pair)
+    summary, code = _verdict([variant.report])
     letters = [QQ.format_scalar(v) for v in variant.alphabet]
     if args.format == "json":
         payload = {
@@ -461,10 +404,10 @@ def _alphabet(args) -> int:
             f"den: {format_poly(variant.s)}",
             f"gcd: {format_poly(variant.gcd)}",
             f"coprime: {'yes' if variant.coprime else 'no'}",
-            f"PASS {int(variant.report.passed)}/1",
+            summary,
         ]
         _write(args, ("\n".join(lines), "\n"))
-    return 0 if variant.report.passed else 2
+    return code
 
 
 def _report_lines(reports) -> list[str]:
@@ -475,19 +418,41 @@ def _report_lines(reports) -> list[str]:
     ]
 
 
-def _emit_reports(args, reports, findings) -> int:
+def _verdict(reports) -> tuple[str, int]:
+    """The summary line ``PASS k/m`` of the reports and the exit code: 0 if
+    every report passes, else 2."""
     passed = sum(r.passed for r in reports)
-    summary = f"PASS {passed}/{len(reports)}"
-    if args.format == "json":
-        _write(args, chain(_json([r.to_dict() for r in reports]), (summary, "\n")))
-        for finding in findings:
-            print(f"FINDING: {finding}", file=sys.stderr)
-    else:
-        lines = _report_lines(reports)
-        lines += [f"FINDING: {finding}" for finding in findings]
-        lines.append(summary)
-        _write(args, ("\n".join(lines), "\n"))
-    return 0 if passed == len(reports) else 2
+    return f"PASS {passed}/{len(reports)}", 0 if passed == len(reports) else 2
+
+
+# The subcommands: name, handler, help line, and the arguments that each
+# adds before the _SHARED ones, as {flag: add_argument keywords}.
+_COMMANDS = (
+    ("word", _word, "emit a block or a prefix of the word",
+     {"--n": dict(type=_parse_int, help="block index"), "--prefix": dict(type=_parse_int, help="prefix length")}),
+    ("theta", _theta, "emit the generating series",
+     {"--prec": dict(type=_parse_int, default=32), "--field": dict(type=_parse_field, default="Q")}),
+    ("cf", _cf, "expand the series or a rational function",
+     {"--ratfunc": dict(help="exact expansion of this fraction"),
+      "--prec": dict(type=_parse_int, default=200, help="series precision for the default expansion"),
+      "--field": dict(type=_parse_field, default="Q")}),
+    ("convergents", _convergents, "convergent table of an expansion",
+     {"--ratfunc": {}, "--prec": dict(type=_parse_int, default=200), "--field": dict(type=_parse_field, default="Q")}),
+    ("measure", _measure, "irrationality-measure estimates",
+     {"--max-n": dict(type=_parse_int, default=6), "--csv": dict(help="also write (n, d_n, nu_n) rows here")}),
+    # verify.SUITE_ORDER plus "all", spelled out so that parsing does not
+    # import the suite; a test keeps the two in step.
+    ("verify", _verify, "run the verification suite",
+     {"selection": dict(choices=("lemma1", "lemma2", "lemma3", "theorem3", "corollary", "conjecture", "all")),
+      "--max-n": dict(type=_parse_int)}),
+    ("quartic", _quartic, "root and expansion of x^4+x^2-Tx+1",
+     {"--p": dict(type=_parse_int, default=3), "--prec": dict(type=_parse_int, default=1000),
+      "--k": dict(type=_parse_int, default=100, help="coefficients compared against the word")}),
+    ("alphabet", _alphabet, "rebuild the first approximant over (a, b)",
+     {"--pair": dict(type=_parse_pair, default="1,-1")}),
+)
+_SHARED = {"--format": dict(choices=("text", "json"), default="text"),
+           "--output": dict(help="write output to this path")}
 
 
 def main(argv=None) -> int:

@@ -159,6 +159,14 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def format_terms(field, coeffs, top: int) -> str:
+    """The canonical text of a sum of terms, for polynomials and series
+    alike: ``c*T^k`` for each nonzero c of coeffs, the coefficients of
+    T^top, T^(top-1), ... in turn, joined by " + "; "" when all are zero."""
+    fmt = field.format_scalar
+    return " + ".join([f"{fmt(c)}*T^{top - i}" for i, c in enumerate(coeffs) if c])
+
+
 class PrecisionError(ArithmeticError):
     """A result would depend on coefficients below the known precision.
     Defined here, in a module every command loads; ``series`` re-exports it."""

@@ -37,7 +37,7 @@ from itertools import compress
 from math import comb, gcd, lcm
 
 from . import _kernel
-from .fields import GF, QQ, check_same_field
+from .fields import GF, QQ, check_same_field, format_terms
 
 
 def _element(value, den: int):
@@ -624,12 +624,9 @@ class RationalFunction:
 
 
 def format_poly(p: Polynomial) -> str:
-    """Canonical text form: signed ``c*T^k`` terms, highest exponent first."""
-    terms = [
-        f"{p.field.format_scalar(c)}*T^{k}"
-        for k, c in reversed(p.nonzero_terms())
-    ]
-    return " + ".join(terms) if terms else "0"
+    """Canonical text form: signed ``c*T^k`` terms, highest exponent first
+    (``fields.format_terms``); "0" for the zero polynomial."""
+    return format_terms(p.field, p.coeffs[::-1], p.degree) or "0"
 
 
 class ParseError(ValueError):

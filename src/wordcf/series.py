@@ -25,7 +25,7 @@ from __future__ import annotations
 from operator import add
 
 from . import _kernel
-from .fields import PrecisionError, check_same_field
+from .fields import PrecisionError, check_same_field, format_terms
 from .poly import Polynomial
 
 
@@ -214,14 +214,12 @@ class LaurentSeries:
     def text_pieces(self):
         """``str(self)`` in pieces of up to _TEXT_CHUNK coefficients each,
         so a long series is never held as one list of terms."""
-        fmt = self.field.format_scalar
-        top, coeffs = self.top, self.coeffs
+        coeffs = self.coeffs
         sep = ""
         for start in range(0, len(coeffs), _TEXT_CHUNK):
-            chunk = coeffs[start : start + _TEXT_CHUNK]
-            terms = [f"{fmt(c)}*T^{top - i}" for i, c in enumerate(chunk, start) if c]
+            terms = format_terms(self.field, coeffs[start : start + _TEXT_CHUNK], self.top - start)
             if terms:
-                yield sep + " + ".join(terms)
+                yield sep + terms
                 sep = " + "
         yield f"{sep or '0 + '}O(T^{self.known_down - 1})"
 

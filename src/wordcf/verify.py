@@ -16,11 +16,11 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import _kernel
-from .fields import GF, QQ, PrecisionError
+from .fields import GF, QQ, PrecisionError, format_terms
 from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
 
 # The functions that build polynomials, series or expansions import those
-# modules when called: lemmas 1 and 2 run on packed integers alone.
+# modules when called: lemmas 1 to 3 run on packed integers alone.
 
 
 class CheckReport(namedtuple("CheckReport", "check n expected actual passed")):
@@ -267,15 +267,12 @@ def check_lemma3(n: int) -> CheckReport:
     coprimality follows from num(1) != 0, which the packed pairs guard.  (A
     literal Euclidean gcd is cross-checked in tests for small n.)
     """
-    from .poly import Polynomial, format_poly
-
     delta, sign, delta_ok, rec = _ladder(n)
-    delta_poly = Polynomial(QQ, _kernel.signed_digits(delta))
-    expected_poly = Polynomial(QQ, [-sign, sign])
+    digits = _kernel.signed_digits(delta)
     gcd = "1,1" if delta_ok else "?,?"
-    expected = f"delta={format_poly(expected_poly)};rec=ok,ok,ok,ok;gcd=1,1"
+    expected = f"delta={format_terms(QQ, (sign, -sign), 1)};rec=ok,ok,ok,ok;gcd=1,1"
     actual = (
-        f"delta={format_poly(delta_poly)};"
+        f"delta={format_terms(QQ, digits[::-1], len(digits) - 1) or '0'};"
         f"rec={','.join('ok' if r else 'FAIL' for r in rec)};"
         f"gcd={gcd}"
     )

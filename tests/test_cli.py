@@ -158,6 +158,15 @@ def test_quartic_precision_error_is_usage_exit(capsys):
     assert "raise prec" in err
 
 
+def test_quartic_negative_k_fails_before_the_root(capsys, monkeypatch):
+    def no_root(p, prec):
+        raise AssertionError("the root was computed")
+
+    monkeypatch.setattr(verify, "quartic_root", no_root)
+    code, out, err = run_cli(capsys, "quartic", "--prec", "100000", "--k", "-1")
+    assert (code, out, err) == (1, "", "usage error: --k must be at least 0\n")
+
+
 def test_alphabet_command(capsys):
     code, out, _ = run_cli(capsys, "alphabet", "--pair", "1,-1")
     assert code == 0

@@ -64,6 +64,7 @@ RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
         # The approximation lemmas run on packed integers alone.
         (["verify", "lemma1", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
         (["verify", "lemma2", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
+        (["verify", "lemma3", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
         (["quartic", "--prec", "40", "--k", "5"], set()),
         (["alphabet", "--pair", "1,-1"], set()),
         (["verify", "no-such-check"], {"wordcf.verify"}),
