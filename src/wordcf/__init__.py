@@ -19,18 +19,8 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(("GF", "PrecisionError", "QQ", "PrimeField", "RationalField"), "fields"),
-    **dict.fromkeys(
-        (
-            "ParseError",
-            "Polynomial",
-            "RationalFunction",
-            "format_poly",
-            "parse_poly",
-            "parse_ratfunc",
-            "poly_gcd",
-        ),
-        "poly",
-    ),
+    **dict.fromkeys(("Polynomial", "format_poly", "poly_gcd"), "poly"),
+    **dict.fromkeys(("ParseError", "RationalFunction", "parse_poly", "parse_ratfunc"), "ratfunc"),
     **dict.fromkeys(("LaurentSeries", "series_of_fraction"), "series"),
     **dict.fromkeys(
         (
@@ -66,10 +56,8 @@ _EXPORTS = {
         (
             "AlphabetVariant",
             "ApproximantPair",
-            "CheckReport",
             "ConjectureOutcome",
             "ConjectureRow",
-            "QuarticExpansion",
             "alphabet_variant",
             "check_conjecture",
             "check_corollary",
@@ -79,14 +67,14 @@ _EXPORTS = {
             "check_theorem3",
             "conjecture_row",
             "pure_periodic_pair",
-            "quartic_expansion",
-            "quartic_root",
             "run_suite",
             "tail_periodic_pair",
             "theta_expansion",
         ),
         "verify",
     ),
+    **dict.fromkeys(("QuarticExpansion", "quartic_expansion", "quartic_root"), "quartic"),
+    "CheckReport": "report",
 }
 
 __all__ = list(_EXPORTS)

@@ -13,7 +13,6 @@ no floating point and no real logarithm anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .fields import PrecisionError
 from .poly import Polynomial, _certified_euclid
@@ -163,6 +162,8 @@ class MeasureTerm(namedtuple("MeasureTerm", "n estimate running_max")):
 def measure_terms(degrees) -> list[MeasureTerm]:
     """Estimator terms 2 + d_{n+1}/sum(d_1..d_n) with their running maximum
     (the limsup proxy), all as exact rationals."""
+    from fractions import Fraction
+
     degrees = list(degrees)
     if len(degrees) < 2:
         raise ValueError("need at least two partial-quotient degrees")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 from itertools import chain
 
 from . import _kernel
@@ -43,7 +42,11 @@ def _number(num: str, den: str | None = None):
     if max(len(num.lstrip("+-")), len(den or "")) > _kernel.MAX_INT_DIGITS:
         raise UsageError(f"integer above the budget of {_kernel.MAX_INT_DIGITS} digits in an option")
     value = _kernel.decimal_int(num.lstrip("+"))
-    return value if den is None else QQ.coerce(Fraction(value, _kernel.decimal_int(den)))
+    if den is None:
+        return value
+    from fractions import Fraction
+
+    return QQ.coerce(Fraction(value, _kernel.decimal_int(den)))
 
 
 # The ``type=`` callables raise UsageError, which argparse lets through
@@ -220,7 +223,7 @@ def _expansion_for(args):
     """The requested expansion plus metadata (shared by cf/convergents)."""
     if args.ratfunc is not None:
         from .cf import cf_of_fraction
-        from .poly import parse_ratfunc
+        from .ratfunc import parse_ratfunc
 
         f = parse_ratfunc(args.ratfunc, args.field)
         return cf_of_fraction(f.num, f.den), None
@@ -343,17 +346,17 @@ def _verify(args) -> int:
 
 
 def _quartic(args) -> int:
-    from . import verify
+    from . import quartic
     from .poly import format_poly
 
     if args.prec < 1:
         raise UsageError("--prec must be at least 1")
     if args.p == 3 and args.k < 0:
         raise UsageError("--k must be at least 0")
-    expansion = verify.quartic_expansion(args.p, args.prec)
+    expansion = quartic.quartic_expansion(args.p, args.prec)
     reports = []
     if args.p == 3:
-        reports.append(verify.quartic_lambda_report(expansion, args.k))
+        reports.append(quartic.quartic_lambda_report(expansion, args.k))
     summary, code = _verdict(reports)
     if args.format == "json":
         payload = {

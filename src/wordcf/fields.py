@@ -4,13 +4,14 @@ Field elements stay unboxed: ``int``/``Fraction`` for Q, ``int`` residues in
 ``[0, p)`` for GF(p).  A field object is a small strategy that normalizes raw
 arithmetic results (``reduce``) and performs exact division, so polynomial and
 series inner loops run on native numbers.  Floating point is rejected
-everywhere.
+everywhere.  ``fractions`` is imported only by the code that builds a
+``Fraction``, so a job over GF(p) never loads it.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import sys
 
 from ._kernel import decimal_str
 
@@ -58,9 +59,14 @@ class RationalField:
         # Fraction ABC costs more than the rest of a polynomial build.
         if type(value) is int:
             return value
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        # A Fraction exists only once its module is loaded, so the class is
+        # looked up there rather than imported.
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(value, fractions.Fraction):
+            return _as_int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"not an exact rational: {value!r}")
-        return _as_int(value) if isinstance(value, Fraction) else value
+        return value
 
     def reduce(self, value):
         return value
@@ -69,6 +75,8 @@ class RationalField:
         return coeffs
 
     def div(self, a, b):
+        from fractions import Fraction
+
         if b == 0:
             raise ZeroDivisionError("zero divisor")
         return _as_int(Fraction(a) / b)
@@ -94,7 +102,7 @@ class RationalField:
         return hash(RationalField)
 
 
-def _as_int(value: Fraction):
+def _as_int(value):
     # Keep denominator-1 values as plain ints: cheaper in later arithmetic.
     return value.numerator if value.denominator == 1 else value
 
@@ -159,11 +167,11 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-def format_terms(field, coeffs, top: int) -> str:
+def format_terms(fmt, coeffs, top: int) -> str:
     """The canonical text of a sum of terms, for polynomials and series
     alike: ``c*T^k`` for each nonzero c of coeffs, the coefficients of
-    T^top, T^(top-1), ... in turn, joined by " + "; "" when all are zero."""
-    fmt = field.format_scalar
+    T^top, T^(top-1), ... in turn, joined by " + "; "" when all are zero.
+    ``fmt`` writes one coefficient, usually a field's ``format_scalar``."""
     return " + ".join([f"{fmt(c)}*T^{top - i}" for i, c in enumerate(coeffs) if c])
 
 

@@ -217,7 +217,7 @@ class LaurentSeries:
         coeffs = self.coeffs
         sep = ""
         for start in range(0, len(coeffs), _TEXT_CHUNK):
-            terms = format_terms(self.field, coeffs[start : start + _TEXT_CHUNK], self.top - start)
+            terms = format_terms(self.field.format_scalar, coeffs[start : start + _TEXT_CHUNK], self.top - start)
             if terms:
                 yield sep + terms
                 sep = " + "

@@ -5,7 +5,8 @@ import itertools
 from fractions import Fraction
 
 from wordcf import verify
-from wordcf.poly import Polynomial, RationalFunction, parse_poly
+from wordcf.poly import Polynomial
+from wordcf.ratfunc import RationalFunction, parse_poly
 from wordcf.words import lengths
 
 

@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 
 from wordcf.fields import QQ
-from wordcf.poly import Polynomial, RationalFunction, parse_poly, poly_gcd
+from wordcf.poly import Polynomial, poly_gcd
+from wordcf.ratfunc import RationalFunction, parse_poly
 from wordcf.cf import cf_of_fraction, convergents, measure_terms
 from wordcf.words import (
     length_closed_form_ok,
@@ -18,7 +19,7 @@ from wordcf.words import (
     theta_series,
     word_poly,
 )
-from wordcf import verify
+from wordcf import quartic, verify
 
 from oracles import determinant, euclid_gcd, eval_cf
 
@@ -118,10 +119,10 @@ def test_criterion_7_conjectured_quotient_shapes():
 
 def test_criterion_8_quartic_over_gf3():
     start = time.perf_counter()
-    root = verify.quartic_root(3, 1000)
-    residual = verify.quartic_residual(root)
-    expansion = verify.quartic_expansion(3, 1000)
-    report = verify.quartic_lambda_report(expansion, 100)
+    root = quartic.quartic_root(3, 1000)
+    residual = quartic.quartic_residual(root)
+    expansion = quartic.quartic_expansion(3, 1000)
+    report = quartic.quartic_lambda_report(expansion, 100)
     elapsed = time.perf_counter() - start
     ok = residual.is_zero and residual.known_down <= -999
     ok = ok and expansion.monomial

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcf.fields import GF, QQ, check_same_field
-from wordcf.poly import Polynomial, RationalFunction, parse_poly
+from wordcf.poly import Polynomial
+from wordcf.ratfunc import RationalFunction, parse_poly
 from wordcf.series import LaurentSeries, PrecisionError, series_of_fraction
 from wordcf.cf import (
     ContinuedFraction,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import wordcf
-from wordcf import cli, verify
+from wordcf import cli, quartic, verify
 
 
 def run_cli(capsys, *argv):
@@ -159,12 +159,19 @@ def test_quartic_precision_error_is_usage_exit(capsys):
 
 
 def test_quartic_negative_k_fails_before_the_root(capsys, monkeypatch):
-    def no_root(p, prec):
-        raise AssertionError("the root was computed")
+    class RootReached(Exception):
+        pass
 
-    monkeypatch.setattr(verify, "quartic_root", no_root)
+    def no_root(p, prec):
+        raise RootReached
+
+    # The binding that quartic_expansion, and so the command, calls.
+    monkeypatch.setattr(quartic, "quartic_root", no_root)
     code, out, err = run_cli(capsys, "quartic", "--prec", "100000", "--k", "-1")
     assert (code, out, err) == (1, "", "usage error: --k must be at least 0\n")
+    # Control: with a valid --k the same command reaches the patched root.
+    with pytest.raises(RootReached):
+        cli.main(["quartic", "--prec", "100000", "--k", "0"])
 
 
 def test_alphabet_command(capsys):

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordcf.fields import GF, MR_BOUND, QQ, check_same_field, is_prime
-from wordcf.poly import Polynomial, format_poly, parse_poly
+from wordcf.poly import Polynomial, format_poly
+from wordcf.ratfunc import parse_poly
 
 residue3 = st.integers(min_value=0, max_value=2)
 residue7 = st.integers(min_value=0, max_value=6)

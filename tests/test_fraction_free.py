@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from wordcf.cf import cf_of_fraction
 from wordcf.fields import GF, QQ
-from wordcf.poly import GCD_PRIME, Polynomial, parse_poly, poly_gcd
+from wordcf.poly import GCD_PRIME, Polynomial, poly_gcd
+from wordcf.ratfunc import parse_poly
 
 from oracles import euclid_gcd
 

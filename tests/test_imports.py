@@ -65,7 +65,11 @@ RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
         (["verify", "lemma1", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
         (["verify", "lemma2", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
         (["verify", "lemma3", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
-        (["quartic", "--prec", "40", "--k", "5"], set()),
+        # The quartic family, the text parser and fractions stay out of
+        # the GF(p) jobs; the word layer is read only by the p = 3 report.
+        (["quartic", "--prec", "40", "--k", "5"], {"wordcf.verify", "wordcf.ratfunc", "fractions"}),
+        (["quartic", "--p", "5", "--prec", "40"], {"wordcf.verify", "wordcf.words", "wordcf.ratfunc", "fractions"}),
+        (["cf", "--prec", "20", "--field", "3"], {"wordcf.verify", "wordcf.ratfunc", "fractions"}),
         (["alphabet", "--pair", "1,-1"], set()),
         (["verify", "no-such-check"], {"wordcf.verify"}),
     ],

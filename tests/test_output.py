@@ -53,7 +53,7 @@ def _legacy_report_lines(reports):
 
 
 def legacy_output(argv) -> str:
-    from wordcf import verify
+    from wordcf import quartic, verify
     from wordcf.cf import convergents
     from wordcf.poly import format_poly
     from wordcf.words import block, prefix, theta_series
@@ -91,8 +91,8 @@ def legacy_output(argv) -> str:
         else:
             text = "\n".join(f"n={r['n']} degY={r['degY']} x={r['x']} y={r['y']}" for r in rows)
     elif args.command == "quartic":
-        expansion = verify.quartic_expansion(args.p, args.prec)
-        reports = [verify.quartic_lambda_report(expansion, args.k)] if args.p == 3 else []
+        expansion = quartic.quartic_expansion(args.p, args.prec)
+        reports = [quartic.quartic_lambda_report(expansion, args.k)] if args.p == 3 else []
         if as_json:
             text = _legacy_json({
                 "p": args.p,

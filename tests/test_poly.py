@@ -6,14 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordcf.fields import GF, QQ
-from wordcf.poly import (
-    Polynomial,
-    RationalFunction,
-    format_poly,
-    parse_poly,
-    parse_ratfunc,
-    poly_gcd,
-)
+from wordcf.poly import Polynomial, format_poly, poly_gcd
+from wordcf.ratfunc import RationalFunction, parse_poly, parse_ratfunc
 
 small_coeff = st.one_of(
     st.integers(min_value=-30, max_value=30),
@@ -144,6 +138,36 @@ def test_text_format_round_trip_with_huge_coefficients(limit, int_max_str_digits
     assert value.num == p and value.den == Polynomial.one(QQ)
 
 
+def _huge_den_ints():
+    # Entries and denominators of 4400 to 9000 digits, some of them sharing
+    # a factor with den and some integral.
+    rng = random.Random("huge-den")
+    d = rng.randrange(10**4400, 10**4401)
+    den = 6 * d
+    return den, [rng.choice((1, -1)) * rng.randrange(10**8999, 10**9000) for _ in range(3)] + [-2 * d, 3, den, 0, -5 * den]
+
+
+@pytest.mark.parametrize(
+    "den, ints",
+    [
+        (1, [-3, 0, 5, -7, 12, 10**5000 + 1]),
+        (360, list(range(-725, 726, 29)) + [360, -720, 0, 1]),
+        (7, [-1, 0, -14, 3]),
+        _huge_den_ints(),
+    ],
+    ids=["integral", "den-360", "den-7", "huge"],
+)
+def test_format_poly_writes_each_coefficient_as_its_fraction(den, ints, int_max_str_digits):
+    # The text of c/den is str(Fraction(c, den)), reduced and signed on the
+    # numerator, at any size and under the default int-to-str limit.
+    p = Polynomial(QQ, [Fraction(c, den) for c in ints])
+    for q in (p, -p):
+        with int_max_str_digits(0):
+            reference = " + ".join(f"{Fraction(c, q.den)}*T^{k}" for k, c in reversed(list(enumerate(q.ints))) if c)
+        with int_max_str_digits(4300):
+            assert format_poly(q) == reference
+
+
 def test_int_token_over_digit_budget_fails_before_conversion(monkeypatch):
     from wordcf import _kernel
 
@@ -163,9 +187,9 @@ def test_parse_ratfunc_cli_syntax():
 
 
 def test_power_over_degree_budget_fails_before_squaring(monkeypatch):
-    from wordcf import poly
+    from wordcf import ratfunc
 
-    monkeypatch.setattr(poly, "MAX_POWER_DEGREE", 10)
+    monkeypatch.setattr(ratfunc, "MAX_POWER_DEGREE", 10)
     assert parse_poly("T^10") == Polynomial.monomial(QQ, 1, 10)
     assert parse_ratfunc("(T^2+1)^-5").den == P("(T^2+1)^5")
     for text in ("T^11", "T^-11", "(T^2+1)^6", "(T^2+1)^-6", "(T/(T^3+1))^4"):
@@ -203,7 +227,7 @@ def test_power_over_cost_budget_fails_before_squaring():
     ],
 )
 def test_monomial_power_matches_repeated_product(field, text, k):
-    from wordcf.poly import _rf_pow
+    from wordcf.ratfunc import _rf_pow
 
     value = parse_ratfunc(text, field)
     step = value if k >= 0 else value.invert()
@@ -219,7 +243,7 @@ def test_monomial_power_of_huge_exponent_reduces_the_scalar():
 
 
 def test_parse_rejects_garbage():
-    from wordcf.poly import ParseError
+    from wordcf.ratfunc import ParseError
 
     with pytest.raises(ParseError):
         parse_poly("T +")
@@ -230,7 +254,7 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_bounds_nesting_depth():
-    from wordcf.poly import MAX_NESTING, ParseError
+    from wordcf.ratfunc import MAX_NESTING, ParseError
 
     def nested(depth):
         return "(" * depth + "T-1" + ")" * depth
@@ -376,7 +400,7 @@ class _ChainParser:
 
 
 def _parse_both(text, field):
-    from wordcf.poly import _Parser
+    from wordcf.ratfunc import _Parser
 
     chain = type("ChainParser", (_ChainParser, _Parser), {})
     outcomes = []

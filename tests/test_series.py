@@ -6,7 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wordcf.fields import GF, QQ
-from wordcf.poly import Polynomial, parse_poly
+from wordcf.poly import Polynomial
+from wordcf.ratfunc import parse_poly
 from wordcf.series import (
     LaurentSeries,
     PrecisionError,

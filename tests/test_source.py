@@ -174,7 +174,7 @@ print(json.dumps(sorted({(code.co_filename, code.co_firstlineno) for code in rea
 # that the README names (``length_closed_form_ok``, ``check_identities``).
 _UNREACHED_LIBRARY = {
     "cf.ContinuedFraction._make",
-    "verify.CheckReport._make",
+    "report.CheckReport._make",
     "poly.Polynomial.coefficient",
     "poly.Polynomial.shift",
     "series.LaurentSeries.coefficient",

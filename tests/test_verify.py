@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from test_cf import approx_order
-from wordcf import cf, cli, series, verify
+from wordcf import cf, cli, quartic, series, verify
 from wordcf.fields import GF, QQ
-from wordcf.poly import Polynomial, format_poly, parse_poly, poly_gcd
+from wordcf.poly import Polynomial, format_poly, poly_gcd
+from wordcf.ratfunc import parse_poly
 from wordcf.series import LaurentSeries, PrecisionError
 from wordcf.cf import cf_of_fraction, cf_of_series, convergents, measure_terms
 from wordcf.words import lengths, prefix, theta_series
@@ -595,7 +596,7 @@ class TestQuartic:
     def test_root_prefix_over_gf3(self):
         # Cross-checked against the fourth convergent T^3/(T^2+1)^2, whose
         # geometric expansion pins the digits through exponent -8.
-        root = verify.quartic_root(3, 8)
+        root = quartic.quartic_root(3, 8)
         digits = [root.coefficient(-k) for k in range(1, 9)]
         assert digits == [1, 0, 1, 0, 0, 0, 2, 0]
 
@@ -606,7 +607,7 @@ class TestQuartic:
         assert x.top == -1
         assert [x.coefficient(-k) for k in range(1, 6)] == [1, 0, 1, 0, 1]
         # the iterate is certified against the root through depth 4 only
-        root = verify.quartic_root(3, 4)
+        root = quartic.quartic_root(3, 4)
         assert all(root.coefficient(-k) == x.coefficient(-k) for k in range(1, 5))
 
     def test_fixed_point_gains_two_digits_per_step(self):
@@ -625,8 +626,8 @@ class TestQuartic:
 
     def test_residual_vanishes_for_every_prime(self):
         for p in (2, 3, 5, 7):
-            root = verify.quartic_root(p, 80)
-            assert verify.quartic_residual(root).is_zero
+            root = quartic.quartic_root(p, 80)
+            assert quartic.quartic_residual(root).is_zero
 
     def test_newton_and_fixed_point_agree(self):
         for p in (2, 3, 5, 7):
@@ -638,27 +639,27 @@ class TestQuartic:
                 if x.known_down < -64:
                     x = x.truncate(-64)
             x = x.truncate(-64)
-            root = verify.quartic_root(p, 64)
+            root = quartic.quartic_root(p, 64)
             assert (root.top, root.coeffs, root.known_down) == (x.top, x.coeffs, x.known_down)
 
     def test_expansion_is_irrational_within_precision(self):
-        out = cf_of_series(verify.quartic_root(3, 400))
+        out = cf_of_series(quartic.quartic_root(3, 400))
         assert not out.terminated
 
     def test_lambda_prefix_of_eleven(self):
-        rep = verify.quartic_lambda_report(verify.quartic_expansion(3, 300), 11)
+        rep = quartic.quartic_lambda_report(quartic.quartic_expansion(3, 300), 11)
         assert rep.passed
         assert "12212121221" in rep.actual
 
     def test_lambda_values_in_unit_group(self):
-        expansion = verify.quartic_expansion(3, 500)
+        expansion = quartic.quartic_expansion(3, 500)
         assert expansion.monomial
         assert set(expansion.lambdas) <= {1, 2}
 
     @staticmethod
     def _assert_root_spells_the_word(prec):
-        expansion = verify.quartic_expansion(3, prec)
-        residual = verify.quartic_residual(expansion.root)
+        expansion = quartic.quartic_expansion(3, prec)
+        residual = quartic.quartic_residual(expansion.root)
         assert residual.is_zero and residual.known_down <= 1 - prec
         assert expansion.monomial
         k = len(expansion.lambdas)
@@ -675,11 +676,11 @@ class TestQuartic:
 
     def test_insufficient_precision_hint(self):
         with pytest.raises(PrecisionError, match="raise prec"):
-            verify.quartic_lambda_report(verify.quartic_expansion(3, 40), 100)
+            quartic.quartic_lambda_report(quartic.quartic_expansion(3, 40), 100)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError, match="prime"):
-            verify.quartic_root(4, 10)
+            quartic.quartic_root(4, 10)
 
 
 class TestAlphabetVariant:

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from wordcf import words
 from wordcf.fields import GF, QQ
-from wordcf.poly import Polynomial, parse_poly
+from wordcf.poly import Polynomial
+from wordcf.ratfunc import parse_poly
 from wordcf.words import (
     aux_words,
     block,
