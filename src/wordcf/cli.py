@@ -61,7 +61,7 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_field(text: str):
-    if text in ("Q", "q"):
+    if text.strip() in ("Q", "q"):
         return QQ
     match = _NUMBER.fullmatch(text.strip())
     if match is None or match[2] is not None:
@@ -247,6 +247,8 @@ def _word(args) -> int:
 
 
 def _theta(args) -> int:
+    if args.prec < 1:
+        raise UsageError("--prec must be at least 1")
     from .words import theta_series
 
     series = theta_series(args.prec, args.field)

@@ -2,25 +2,23 @@
 Newton lifting, its certified continued-fraction expansion, and the GF(3)
 check that its quotients spell the word.
 
-The functions import the polynomial, series and expansion layers, and the
-p = 3 check the word layer, when they run: ``verify`` binds ``quartic_root``,
-and the lemma jobs that load ``verify`` run on packed integers alone.
+It loads the polynomial, series and expansion layers it computes with; the
+p = 3 check imports the word layer when it runs, so other primes load none.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from . import _kernel
+from . import _kernel, cf
 from .fields import GF, PrecisionError
+from .poly import Polynomial
 from .report import CheckReport
+from .series import LaurentSeries
 
 
 def quartic_residual(x: LaurentSeries) -> LaurentSeries:
     """x^4 + x^2 - T x + 1 under the series precision rules."""
-    from .poly import Polynomial
-    from .series import LaurentSeries
-
     field = x.field
     kd = x.known_down
     x2 = x * x
@@ -46,9 +44,6 @@ def quartic_root(p: int, prec: int) -> LaurentSeries:
     ``series._mul_trunc``), so precision 10^5 takes a few seconds.  The
     residual is re-checked before returning.
     """
-    from .poly import Polynomial
-    from .series import LaurentSeries
-
     field = GF(p)
     if prec < 1:
         raise ValueError("prec must be at least 1")
@@ -91,10 +86,9 @@ class QuarticExpansion(namedtuple("QuarticExpansion", "root cf lambdas exponents
 
 
 def quartic_expansion(p: int, prec: int) -> QuarticExpansion:
-    from .cf import cf_of_series
-
     root = quartic_root(p, prec)
-    expansion = cf_of_series(root)
+    # Read from its module when called, so a rebound one is the one run.
+    expansion = cf.cf_of_series(root)
     lambdas = []
     exponents = []
     monomial = expansion.cf.a0.is_zero

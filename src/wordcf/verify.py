@@ -18,15 +18,23 @@ from fractions import Fraction
 
 from . import _kernel
 from .fields import QQ, PrecisionError, format_terms
-# The only reason for this binding: the benchmark tracer (perfbench/jobrun.py)
-# rebinds ``verify.quartic_root`` and fails when no module it scans holds it
-# (ROADMAP item 2(e)).  Nothing here calls it.
-from .quartic import quartic_root  # noqa: F401
 from .report import CheckReport
 from .words import aux_words, check_block_budget, lengths, prefix, theta_series, word_poly
 
 # The functions that build polynomials, series or expansions import those
 # modules when called: lemmas 1 to 3 run on packed integers alone.
+
+
+def __getattr__(name):
+    """``quartic_root``, imported and bound here on first access, for the
+    benchmark tracer alone (perfbench/jobrun.py rebinds
+    ``verify.quartic_root``; ROADMAP item 2(e)).  Nothing here calls it."""
+    if name != "quartic_root":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .quartic import quartic_root
+
+    globals()[name] = quartic_root
+    return quartic_root
 
 
 class ApproximantPair(namedtuple("ApproximantPair", "n r s kind")):
@@ -164,6 +172,9 @@ def _letter_sum(w: str) -> int:
     return len(w) + w.count("2")
 
 
+# Cached per process, like the polynomial pairs: each pair is packed once.
+# Callers look the builders up by module name, so a rebound one is called.
+@functools.lru_cache(maxsize=None)
 def packed_tail_pair(n: int) -> PackedPair:
     """tail_periodic_pair(n) at T = X, from its words and exponents, with
     the same num(1) != 0 guard."""
@@ -175,6 +186,7 @@ def packed_tail_pair(n: int) -> PackedPair:
     return PackedPair(r, ((1, high), (-1, low)))
 
 
+@functools.lru_cache(maxsize=None)
 def packed_pure_pair(n: int) -> PackedPair:
     """pure_periodic_pair(n) at T = X, with the same num(0), num(1) != 0
     guard; num(0) is the last letter, the low byte of num(X)."""
@@ -199,21 +211,12 @@ def _measured_order(pair: PackedPair, prec: int) -> int:
     return pair.den[0][1] + prec - deg_e
 
 
-def _packed_pairs() -> tuple:
-    """(tail, pure): ``packed_tail_pair`` and ``packed_pure_pair``, as the
-    module names them when called, each building a pair once.  One check
-    shares them, so a pair it reads at several places is packed once."""
-    return functools.cache(packed_tail_pair), functools.cache(packed_pure_pair)
-
-
-def _ladder(n: int, pairs=None) -> tuple:
+def _ladder(n: int) -> tuple:
     """Lemma 3 at n as (delta, sign, delta_ok, rec): delta = (r_n s'_n - r'_n s_n)(X),
-    to be sign (X - 1), and the four recurrences from n to n + 1 as bools.
-    ``pairs`` is a ``_packed_pairs()``, fresh when not given."""
-    tail, pure = pairs or _packed_pairs()
+    to be sign (X - 1), and the four recurrences from n to n + 1 as bools."""
     ell = lengths(n + 2)
-    a, ap = tail(n), pure(n)
-    b, bp = tail(n + 1), pure(n + 1)
+    a, ap = packed_tail_pair(n), packed_pure_pair(n)
+    b, bp = packed_tail_pair(n + 1), packed_pure_pair(n + 1)
     len_f_next = (ell[n + 1] + ell[n] - 1) // 2
     len_v_next = ell[n + 1] + 1
     len_g = (ell[n] + ell[n - 1] + 3) // 2
@@ -270,23 +273,21 @@ def theta_expansion(block_count: int) -> ContinuedFraction:
     return cf_of_fraction(pair.r, pair.s)
 
 
-def theta_degrees(max_n: int, pairs=None) -> list[int]:
+def theta_degrees(max_n: int) -> list[int]:
     """Degrees d_1 .. d_{4 max_n + 4} of theta's expansion as Theorem 3's
     proof derives them: d_1..d_4 from ``theta_expansion(min(max_n, 2) + 1)``,
     then, the pairs at n being the convergents 4n and 4n + 2 of order
     2 deg y_k + d_{k+1} (premises that ``check_theorem3`` checks), from the
     orders t_n, t'_n (each < 3 deg den), D_n = deg s_n and m_n = deg s'_n:
     d_{4n+1} = t_n - 2 D_n, d_{4n+2} = m_n - D_n - d_{4n+1},
-    d_{4n+3} = t'_n - 2 m_n, d_{4n+4} = D_{n+1} - m_n - d_{4n+3}.
-    ``pairs`` is a ``_packed_pairs()``, fresh when not given."""
-    tail, pure = pairs or _packed_pairs()
+    d_{4n+3} = t'_n - 2 m_n, d_{4n+4} = D_{n+1} - m_n - d_{4n+3}."""
     d = theta_expansion(min(max_n, 2) + 1).degrees()[:4]
     for n in range(1, max_n + 1):
-        a, ap = tail(n), pure(n)
+        a, ap = packed_tail_pair(n), packed_pure_pair(n)
         big_d, m = a.den[0][1], ap.den[0][1]
         d1 = _measured_order(a, 3 * big_d) - 2 * big_d
         d3 = _measured_order(ap, 3 * m) - 2 * m
-        d += [d1, m - big_d - d1, d3, tail(n + 1).den[0][1] - m - d3]
+        d += [d1, m - big_d - d1, d3, packed_tail_pair(n + 1).den[0][1] - m - d3]
     return d
 
 
@@ -312,8 +313,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
 
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    pairs = _packed_pairs()
-    d = theta_degrees(max_n, pairs)
+    d = theta_degrees(max_n)
     ell = lengths(max_n + 1)
     reports: list[CheckReport] = []
 
@@ -329,8 +329,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
     )
     reports.append(CheckReport("theorem3", 0, base_expected, base_actual))
 
-    tail, _ = pairs
-    placed = sum(d[:4]) == tail(1).den[0][1]
+    placed = sum(d[:4]) == packed_tail_pair(1).den[0][1]
     for n in range(1, max_n + 1):
         d_expected = (
             (3 * ell[n] + ell[n - 1] + 1) // 2,
@@ -339,7 +338,7 @@ def check_theorem3(max_n: int) -> list[CheckReport]:
             1,
         )
         d_actual = tuple(d[4 * n : 4 * n + 4])
-        _, _, delta_ok, rec = _ladder(n, pairs)
+        _, _, delta_ok, rec = _ladder(n)
         conv_ok = placed and delta_ok and d_actual[0] >= 1
         convp_ok = conv_ok and d_actual[1] >= 1 and d_actual[2] >= 1
         placed = convp_ok and all(rec) and d_actual[3] >= 1

@@ -9,6 +9,7 @@ import pytest
 
 import wordcf
 from wordcf import cli, quartic, verify
+from wordcf.fields import GF, QQ
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +195,11 @@ def test_theta_over_prime_field(capsys):
     assert payload["known_down"] == -5
 
 
+@pytest.mark.parametrize("command", ["theta", "cf", "convergents", "quartic"])
+def test_zero_precision_is_one_usage_error(capsys, command):
+    assert run_cli(capsys, command, "--prec", "0") == (1, "", "usage error: --prec must be at least 1\n")
+
+
 def test_field_must_be_prime(capsys):
     code, _, err = run_cli(capsys, "theta", "--prec", "5", "--field", "6")
     assert code == 1 and "prime" in err
@@ -216,7 +222,13 @@ def test_pair_refuses_other_syntax(text):
         cli._parse_pair(text)
 
 
-@pytest.mark.parametrize("text", ["1.5", "7_0", "1/2", "\u0667", ""])
+# Surrounding blanks are dropped from Q as from a prime.
+@pytest.mark.parametrize("text, field", [("Q", QQ), ("q", QQ), (" Q", QQ), ("q ", QQ), (" 3", GF(3))])
+def test_field_reads_q_or_a_prime(text, field):
+    assert cli._parse_field(text) is field
+
+
+@pytest.mark.parametrize("text", ["1.5", "7_0", "1/2", "\u0667", "", "Q Q", "QQ"])
 def test_field_refuses_other_syntax(text):
     with pytest.raises(cli.UsageError, match="field must be Q or a prime number"):
         cli._parse_field(text)

@@ -60,11 +60,12 @@ RATFUNC = "(T^3+2*T^2+T-1)/(T^4-T^2)"
         (["convergents", "--prec", "20", "--field", "3"], {"wordcf.verify"}),
         (["word", "--n", "3"], {"wordcf.verify", "wordcf.cf", "wordcf.poly", "wordcf.series"}),
         (["theta", "--prec", "5"], {"wordcf.verify", "wordcf.cf"}),
-        (["measure", "--max-n", "3"], set()),
+        # verify binds the quartic root only when the tracer asks for it.
+        (["measure", "--max-n", "3"], {"wordcf.quartic"}),
         # The approximation lemmas run on packed integers alone.
-        (["verify", "lemma1", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
-        (["verify", "lemma2", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
-        (["verify", "lemma3", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf"}),
+        (["verify", "lemma1", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf", "wordcf.quartic"}),
+        (["verify", "lemma2", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf", "wordcf.quartic"}),
+        (["verify", "lemma3", "--max-n", "2"], {"wordcf.poly", "wordcf.series", "wordcf.cf", "wordcf.quartic"}),
         # The quartic family, the text parser and fractions stay out of
         # the GF(p) jobs; the word layer is read only by the p = 3 report.
         (["quartic", "--prec", "40", "--k", "5"], {"wordcf.verify", "wordcf.ratfunc", "fractions"}),

@@ -168,16 +168,12 @@ print(json.dumps(sorted({(code.co_filename, code.co_firstlineno) for code in rea
 """
 
 # Definitions that no command reaches and no README table row names: the
-# namedtuple ``_make`` guards, which ``_replace`` calls; the coefficient
-# readers of polynomials and series and ``Polynomial.shift``, which library
-# code and the tests call; and two helpers of library-only word functions
-# that the README names (``length_closed_form_ok``, ``check_identities``).
+# namedtuple ``_make`` guards, which ``_replace`` calls, and two helpers of
+# library-only word functions that the README names
+# (``length_closed_form_ok``, ``check_identities``).
 _UNREACHED_LIBRARY = {
     "cf.ContinuedFraction._make",
     "report.CheckReport._make",
-    "poly.Polynomial.coefficient",
-    "poly.Polynomial.shift",
-    "series.LaurentSeries.coefficient",
     "words._sqrt2_mul",
     "words.check_identities.record",
 }

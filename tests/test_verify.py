@@ -237,6 +237,19 @@ def _times_t_plus_1(pair):
     return pair._replace(r=(pair.r << 8) + pair.r, den=den)
 
 
+_PACKED_BUILDERS = (verify.packed_tail_pair, verify.packed_pure_pair)
+
+
+def _clear_packed_caches():
+    for builder in _PACKED_BUILDERS:
+        builder.cache_clear()
+
+
+def _packed_misses():
+    """(tail, pure): the pairs packed since the caches were last cleared."""
+    return tuple(builder.cache_info().misses for builder in _PACKED_BUILDERS)
+
+
 def _outcome(check, n):
     try:
         return check(n)
@@ -336,6 +349,12 @@ class TestLemma3:
     def test_packing_rejects_other_letters(self, word):
         with pytest.raises(ValueError, match="word symbols"):
             verify._packed_word(word)
+
+    def test_each_pair_is_packed_once(self):
+        # The ladders at n and n + 1 share two pairs: n = 1..13, once each.
+        _clear_packed_caches()
+        assert all(verify.check_lemma3(n).passed for n in range(1, 13))
+        assert _packed_misses() == (13, 13)
 
     def test_suite_builds_no_polynomial_pair(self):
         for selection in ("lemma1", "lemma2", "lemma3"):
@@ -447,15 +466,15 @@ class TestTheorem3:
         real_ladder, real_degrees = verify._ladder, verify.theta_degrees
         kind, _, where = fault.partition("@")
 
-        def ladder(n, pairs=None):
-            delta, sign, delta_ok, rec = real_ladder(n, pairs)
+        def ladder(n):
+            delta, sign, delta_ok, rec = real_ladder(n)
             if str(n) == where:
                 delta_ok = delta_ok and kind != "delta"
                 rec = [r and kind != "rec" for r in rec[:1]] + list(rec[1:])
             return delta, sign, delta_ok, rec
 
-        def degrees(max_n, pairs=None):
-            d = real_degrees(max_n, pairs)
+        def degrees(max_n):
+            d = real_degrees(max_n)
             if kind == "base":
                 d[0] += 1
             elif kind.startswith("d_"):
@@ -490,15 +509,12 @@ class TestTheorem3:
     def test_reports_match_euclid_oracle(self, max_n):
         assert verify.check_theorem3(max_n) == _theorem3_oracle(max_n)
 
-    def test_each_pair_is_packed_once(self, monkeypatch):
-        # theta_degrees and every rung of the ladder share the pairs of one
-        # check: n = 1..max_n + 1, one build each.
-        built = []
-        for name in ("packed_tail_pair", "packed_pure_pair"):
-            real = getattr(verify, name)
-            monkeypatch.setattr(verify, name, lambda n, real=real, name=name: built.append((name, n)) or real(n))
+    def test_each_pair_is_packed_once(self):
+        # theta_degrees and every rung of the ladder read the process-wide
+        # caches: n = 1..max_n + 1, one build each.
+        _clear_packed_caches()
         assert all(rep.passed for rep in verify.check_theorem3(5))
-        assert sorted(built) == [(name, n) for name in ("packed_pure_pair", "packed_tail_pair") for n in range(1, 7)]
+        assert _packed_misses() == (6, 6)
 
     def test_derived_degrees_match_euclid(self):
         for max_n in range(1, 12):
@@ -710,6 +726,27 @@ class TestAlphabetVariant:
 
 
 class TestSuite:
+    def test_each_pair_is_packed_once_per_process(self):
+        # lemma3 to n = 12 reads the deepest pairs, n = 13; lemma1/2,
+        # theorem3 and corollary read the same pairs again from the caches.
+        _clear_packed_caches()
+        reports, _ = verify.run_suite("all")
+        assert all(rep.passed for rep in reports)
+        assert _packed_misses() == (13, 13)
+
+    def test_a_rebound_builder_is_called_past_a_warm_cache(self, monkeypatch):
+        # A fault injected after the caches hold the pair still reaches the
+        # checks, and the caches keep the true pair once it is undone.
+        assert verify.check_lemma1(1).passed and verify.check_theorem3(2)[1].passed
+        real = verify.packed_tail_pair
+        monkeypatch.setattr(
+            verify, "packed_tail_pair", lambda n: real(n)._replace(r=real(n).r + 1) if n == 1 else real(n)
+        )
+        assert not verify.check_lemma1(1).passed
+        assert "conv4n=MISMATCH" in verify.check_theorem3(2)[1].actual
+        monkeypatch.undo()
+        assert verify.check_lemma1(1).passed and verify.check_theorem3(2)[1].passed
+
     def test_selection_rows_and_determinism(self):
         first, findings1 = verify.run_suite("lemma3", 4)
         second, findings2 = verify.run_suite("lemma3", 4)
